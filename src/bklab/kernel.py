@@ -37,8 +37,8 @@ def _check_q(q: float) -> None:
         raise DomainError(f"q must lie in (0, 1), got {q}")
 
 
-def _bisect(fn, lo: float, hi: float, *, rel_tol: float = _BISECT_REL_TOL) -> float:
-    """Root of fn on [lo, hi] assuming fn(lo) <= 0 <= fn(hi)."""
+def _bracket(fn, lo: float, hi: float, *, rel_tol: float) -> tuple[float, float]:
+    """Shrink [lo, hi] around a root of fn, keeping fn(lo) <= 0 <= fn(hi)."""
     flo = fn(lo)
     fhi = fn(hi)
     if flo > 0.0 or fhi < 0.0:
@@ -46,22 +46,28 @@ def _bisect(fn, lo: float, hi: float, *, rel_tol: float = _BISECT_REL_TOL) -> fl
             f"root not bracketed on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
         )
     if flo == 0.0:
-        return lo
+        return lo, lo
     if fhi == 0.0:
-        return hi
+        return hi, hi
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
         fmid = fn(mid)
         if fmid == 0.0:
-            return mid
+            return mid, mid
         if fmid < 0.0:
             lo = mid
         else:
             hi = mid
         if hi - lo <= rel_tol * max(1.0, abs(lo)):
             break
+    return lo, hi
+
+
+def _bisect(fn, lo: float, hi: float, *, rel_tol: float = _BISECT_REL_TOL) -> float:
+    """Root of fn on [lo, hi] assuming fn(lo) <= 0 <= fn(hi)."""
+    lo, hi = _bracket(fn, lo, hi, rel_tol=rel_tol)
     return 0.5 * (lo + hi)
 
 
@@ -201,17 +207,20 @@ def rho_interval(k: float, q: float, f: float, h: float) -> tuple[float, float]:
 
     l_k increases on (0, kf) and decreases on (kf, f), so each endpoint is
     either a boundary value or a one-sided bisection root of l_k(B) = h.
+    Each root is taken from the side of its final bracket where l_k >= h:
+    near B = f at small q one ulp of B can move l_k by many ulps of h, so
+    the midpoint of the bracket may lie outside the window.
     """
     _check_fhk(k, q, f, h)
     h = min(h, f**q)
     if ell_k(0.0, k, q, f) >= h:
         rho0 = 0.0
     else:
-        rho0 = _bisect(lambda b: ell_k(b, k, q, f) - h, 0.0, k * f, rel_tol=0.0)
+        _, rho0 = _bracket(lambda b: ell_k(b, k, q, f) - h, 0.0, k * f, rel_tol=0.0)
     if ell_k(f, k, q, f) >= h:
         rho1 = f
     else:
-        rho1 = _bisect(lambda b: h - ell_k(b, k, q, f), k * f, f, rel_tol=0.0)
+        rho1, _ = _bracket(lambda b: h - ell_k(b, k, q, f), k * f, f, rel_tol=0.0)
     return rho0, rho1
 
 
@@ -229,10 +238,10 @@ def r_k(b: float, k: float, q: float, f: float, h: float) -> float:
     if h <= low:
         return k ** (1.0 - q) * b**q / (1.0 - q)
     top = k ** (1.0 - q) * b**q
-    s = h - low
-    if top < s * (1.0 - 1e-9):
+    if low + top < h * (1.0 - 1e-9):
         # l_k(B) < h: outside the admissible window
         raise DomainError(f"r_k: B={b} outside [rho0, rho1] (l_k(B) = {low + top} < h = {h})")
+    s = h - low
     return s * omega_q(max(top / s, 1.0), q)
 
 

@@ -9,17 +9,14 @@ so that both moments are restored exactly.  Swap and block-sort moves, which
 preserve the moments trivially, speed up the combinatorial packing part.
 
 Restarts are independent, each seeded from (seed, restart index), so reports
-are reproducible for a fixed seed no matter how restarts are scheduled.
-BKLAB_THREADS caps how many restarts run concurrently.
+are reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,17 +36,21 @@ def leaf_maximal(values, m: int, depth: int) -> np.ndarray:
     """Leaf values of the maximal function, vectorized over leading axes.
 
     values has shape (..., m**depth); entry i of the result is the largest
-    average of the input over the ancestors of leaf i.
+    average of the input over the ancestors of leaf i.  Each row of a batch
+    is reduced exactly as it would be alone, so batching never changes a bit.
     """
     v = np.asarray(values, dtype=float)
     n = m**depth
     if v.shape[-1] != n:
         raise DomainError(f"last axis must have length {n}, got {v.shape[-1]}")
-    out = np.broadcast_to(v.mean(axis=-1, keepdims=True), v.shape).copy()
-    for d in range(1, depth + 1):
-        block = m ** (depth - d)
-        avg = v.reshape(v.shape[:-1] + (m**d, block)).mean(axis=-1)
-        np.maximum(out, np.repeat(avg, block, axis=-1), out=out)
+    out = np.full(v.shape, -np.inf)
+    for d in range(depth + 1):
+        # np.mean's own summation and division, without its Python wrapper
+        shape = v.shape[:-1] + (m**d, m ** (depth - d))
+        avg = np.add.reduce(v.reshape(shape), axis=-1)
+        np.true_divide(avg, shape[-1], out=avg)
+        blocks = out.reshape(shape)
+        np.maximum(blocks, avg[..., None], out=blocks)
     return out
 
 
@@ -289,7 +290,9 @@ def _seed_values(params: BellmanParams, spec: TreeSpec, ridx: int, rng) -> np.nd
         x = (np.arange(K) + 0.5) / n
         vals[:K] = params.L * (K / n / x) ** alpha
     elif kind == 2:
-        g = rng.uniform(1.2, 3.0)
+        # cap the ratio so g**K stays finite on deep trees (the cap never
+        # bites at depth <= 8, where K < 256)
+        g = min(rng.uniform(1.2, 3.0), math.exp(700.0 / K))
         prof = g ** np.arange(K, 0, -1, dtype=float)
         vals[:K] = params.L * prof / prof[-1]
     else:
@@ -308,8 +311,10 @@ def _three_cell_targets(vi, vj, vk, t, q):
 
     Solves a + b = s1, a^q + b^q = s2 with a <= b; solvable exactly when
     s1^q <= s2 <= 2^(1-q) s1^q since a -> a^q + (s1-a)^q increases on
-    [0, s1/2].
+    [0, s1/2].  Works in Python floats: the same IEEE operations as on
+    numpy scalars, without their dispatch cost in the bisection.
     """
+    vi, vj, vk, t = float(vi), float(vj), float(vk), float(t)
     s1 = vi + vj + vk - t
     if s1 < 0:
         return None
@@ -355,11 +360,12 @@ def _consolidate_tail(vals, params, spec):
 
     def score(v):
         mx = leaf_maximal(v, m, depth)
-        obj = float((np.maximum(mx, L) ** q).mean())
-        res = float((np.abs(np.where(mx >= L, mx, L) - root * v) ** q).sum() * w)
+        obj = (np.maximum(mx, L) ** q).mean(axis=-1)
+        res = (np.abs(np.where(mx >= L, mx, L) - root * v) ** q).sum(axis=-1) * w
         return obj, res, mx
 
     cur_obj, cur_res, mx = score(vals)
+    cur_obj, cur_res = float(cur_obj), float(cur_res)
     for _ in range(2):
         slack = np.flatnonzero(mx < L)
         if slack.size < 3:
@@ -377,25 +383,36 @@ def _consolidate_tail(vals, params, spec):
             i = int(i)
             if vals[i] == tau:
                 continue
-            best_local = None
+            # every (pair, orientation) candidate for cell i, scored in one
+            # batch and then visited in order
+            moves = []
             for r1, r2 in pairs:
                 if i == r1 or i == r2:
                     continue
-                vi, vj, vk = vals[i], vals[r1], vals[r2]
-                sol = _three_cell_targets(vi, vj, vk, tau, q)
+                sol = _three_cell_targets(vals[i], vals[r1], vals[r2], tau, q)
                 if sol is None:
                     continue
                 a, b = sol
-                for aa, bb in ((a, b), (b, a)):
-                    vals[i], vals[r1], vals[r2] = tau, aa, bb
-                    obj, res, mx2 = score(vals)
-                    if obj >= cur_obj - 1e-12 and res < cur_res - 1e-15:
-                        if best_local is None or res < best_local[1]:
-                            best_local = (obj, res, r1, r2, aa, bb, mx2)
-                vals[i], vals[r1], vals[r2] = vi, vj, vk
-            if best_local is not None:
-                cur_obj, cur_res, r1, r2, aa, bb, mx = best_local
+                moves.append((r1, r2, a, b))
+                moves.append((r1, r2, b, a))
+            if not moves:
+                continue
+            cand = np.tile(vals, (len(moves), 1))
+            cand[:, i] = tau
+            for row, (r1, r2, aa, bb) in enumerate(moves):
+                cand[row, r1], cand[row, r2] = aa, bb
+            objs, ress, mxs = score(cand)
+            best = None
+            for row in range(len(moves)):
+                obj, res = float(objs[row]), float(ress[row])
+                if obj >= cur_obj - 1e-12 and res < cur_res - 1e-15:
+                    if best is None or res < best[1]:
+                        best = (obj, res, row)
+            if best is not None:
+                cur_obj, cur_res, row = best
+                r1, r2, aa, bb = moves[row]
                 vals[i], vals[r1], vals[r2] = tau, aa, bb
+                mx = mxs[row]
                 changed = True
         if not changed:
             break
@@ -432,11 +449,15 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
         return None
 
     def evaluate(v):
+        """Objective and floored maximal function, per row of a batch."""
         mx = leaf_maximal(v, m, depth)
         np.maximum(mx, L, out=mx)
-        return float((mx**q).mean()), mx
+        # np.mean's summation and division, without its Python wrapper
+        return np.add.reduce(mx**q, axis=-1) / n, mx
 
     cur, cur_mx = evaluate(vals)
+    cur = float(cur)
+    slack = None  # cells of cur_mx at the floor; rebuilt after an accept
     tau = params.tau
     used = 0
     for it in range(budget):
@@ -445,7 +466,8 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
         if n >= 3 and r < 0.55:
             # below the floor the objective ignores the values, so such
             # cells absorb moment corrections for free
-            slack = np.flatnonzero(cur_mx <= L).tolist()
+            if slack is None:
+                slack = np.flatnonzero(cur_mx <= L).tolist()
             if len(slack) >= 2 and rng.random() < 0.6:
                 i = rng.randrange(n)
                 j, k = rng.sample(slack, 2)
@@ -468,17 +490,17 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
             if sol is None:
                 continue
             a, b = sol
-            best_local = None
-            for aa, bb in ((a, b), (b, a)):
-                vals[i], vals[j], vals[k] = t, aa, bb
-                obj, mx = evaluate(vals)
-                if obj > cur and (best_local is None or obj > best_local[0]):
-                    best_local = (obj, aa, bb, mx)
-            if best_local is not None:
-                cur, aa, bb, cur_mx = best_local
-                vals[i], vals[j], vals[k] = t, aa, bb
-            else:
-                vals[i], vals[j], vals[k] = vi, vj, vk
+            # both orientations of (a, b) in one batch; the first wins ties
+            cand = np.array((vals, vals))
+            cand[:, i] = t
+            cand[:, j] = a, b
+            cand[:, k] = b, a
+            objs, mxs = evaluate(cand)
+            row = 1 if objs[1] > objs[0] else 0
+            obj = float(objs[row])
+            if obj > cur:
+                cur, cur_mx, slack = obj, mxs[row], None
+                vals[:] = cand[row]
         elif r < 0.85:
             i, j = rng.sample(range(n), 2)
             if vals[i] == vals[j]:
@@ -486,7 +508,7 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
             vals[i], vals[j] = vals[j], vals[i]
             obj, mx = evaluate(vals)
             if obj > cur:
-                cur, cur_mx = obj, mx
+                cur, cur_mx, slack = float(obj), mx, None
             else:
                 vals[i], vals[j] = vals[j], vals[i]
         else:
@@ -498,7 +520,7 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
             vals[sl] = np.sort(keep)[::-1]
             obj, mx = evaluate(vals)
             if obj > cur:
-                cur, cur_mx = obj, mx
+                cur, cur_mx, slack = float(obj), mx, None
             else:
                 vals[sl] = keep
     cur, defect, vals = _consolidate_tail(vals, params, spec)
@@ -538,22 +560,11 @@ def local_search(params: BellmanParams, spec: TreeSpec, seed: int = 0,
     extras = [np.asarray(e, dtype=float) for e in (extra_seeds or [])]
     n_extra = len(extras)
 
-    def run(ridx):
-        start = extras[ridx] if ridx < n_extra else None
-        return _run_restart(params, spec, ridx, seed, budget, start=start)
-
-    all_jobs = list(range(restarts + n_extra))
-    threads = max(1, int(os.environ.get("BKLAB_THREADS", "1") or "1"))
-    results = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, all_jobs))
-    else:
-        results = [run(ridx) for ridx in all_jobs]
-
     kept = []
     total_iters = 0
-    for ridx, out in enumerate(results):
+    for ridx in range(restarts + n_extra):
+        start = extras[ridx] if ridx < n_extra else None
+        out = _run_restart(params, spec, ridx, seed, budget, start=start)
         if out is None:
             continue
         obj, defect, vals, used = out

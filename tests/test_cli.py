@@ -301,6 +301,13 @@ class TestSearchCommand:
         # the serializer itself is deterministic given equal reports
         assert render_json(ra) == render_json(rb)
 
+    def test_depth_ten_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "--q", "0.5", "--f", "1",
+                               "--h", "0.8", "--L", "1.2", "--N", "10",
+                               "--seed", "0", "--budget", "1")
+        assert code == 0
+        assert json.loads(out)["depth"] == 10
+
 
 class TestStudyCommand:
     def test_csv_format(self, capsys):

@@ -239,6 +239,24 @@ class TestRk:
         with pytest.raises(DomainError):
             r_k(rho1 + 1e-3, 0.6, 0.5, 1.0, 0.8)
 
+    # rho1 sits about 15000 ulps below f, where one ulp of B moves l_k by
+    # about 5e-8 of h: the float nearest the root can fall outside the window
+    ILL_CONDITIONED = (0.15281977044513048, 0.7977415314164339,
+                       0.8641135814066214, 0.8116373519437352)
+
+    def test_window_ends_accepted_when_ill_conditioned(self):
+        q, k, f, h = self.ILL_CONDITIONED
+        rho0, rho1 = rho_interval(k, q, f, h)
+        assert ell_k(rho0, k, q, f) >= h and ell_k(rho1, k, q, f) >= h
+        assert r_k(rho1, k, q, f, h) > 0.0
+        assert r_k(rho0, k, q, f, h) > 0.0
+
+    def test_clearly_outside_raises_when_ill_conditioned(self):
+        q, k, f, h = self.ILL_CONDITIONED
+        rho0, _ = rho_interval(k, q, f, h)
+        with pytest.raises(DomainError):
+            r_k(0.5 * rho0, k, q, f, h)
+
 
 class TestBellmanValue:
     def test_frozen_value(self):

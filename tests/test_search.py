@@ -54,13 +54,18 @@ class TestLeafMaximal:
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_batch_rows_match_single_calls(self):
+        # blocks of 8 or more cells take numpy's pairwise summation; the
+        # batched search relies on every row being reduced as if alone
         rng = np.random.default_rng(3)
-        m, depth = 2, 3
-        batch = rng.random((5, m**depth)) * 2.0
-        got = leaf_maximal(batch, m, depth)
-        assert got.shape == batch.shape
-        for row in range(5):
-            assert np.array_equal(got[row], leaf_maximal(batch[row], m, depth))
+        for m, depth in ((2, 3), (2, 8), (3, 5), (4, 4)):
+            for size in (2, 5, 6, 64):
+                batch = rng.random((size, m**depth)) * 2.0
+                batch[rng.random(batch.shape) < 0.2] = 0.0
+                got = leaf_maximal(batch, m, depth)
+                assert got.shape == batch.shape
+                for row in range(size):
+                    single = leaf_maximal(batch[row], m, depth)
+                    assert np.array_equal(got[row], single), (m, depth, size, row)
 
     def test_constant_input(self):
         out = leaf_maximal(np.full(8, 1.75), 2, 3)
@@ -263,6 +268,27 @@ class TestLocalSearch:
                            extra_seeds=[start])
         assert rep.restarts == 3
         assert rep.objective >= ora.objective - 1e-9
+
+    # float.hex of (objective, residual) for seeds 0, 1, 2 at depth 8,
+    # budget 300, 2 restarts; batching or reordering the scoring must not
+    # move a single bit of the trajectory
+    PINNED = {
+        0: ("0x1.730ecbfdda4b5p+0", "0x1.c85a0b5071d6dp-1"),
+        1: ("0x1.74fe5defef423p+0", "0x1.325e2b0251146p-1"),
+        2: ("0x1.735cd2c8840c5p+0", "0x1.e1fe87d14f130p-1"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_fixed_seed_results_are_pinned(self, seed):
+        rep = local_search(PARAMS, TreeSpec(2, 8), seed=seed, budget=300, restarts=2)
+        assert (rep.objective.hex(), rep.residual.hex()) == self.PINNED[seed]
+
+    def test_depth_ten_seeds_stay_finite(self):
+        # the geometric seed shape once overflowed to inf at depth >= 10
+        rep = local_search(PARAMS, TreeSpec(2, 10), seed=0, budget=1, restarts=3)
+        vals = leaf_array(rep.best_phi, TreeSpec(2, 10))
+        assert np.all(np.isfinite(vals))
+        assert rep.objective <= rep.analytic_bound + 1e-9
 
     def test_validation(self):
         spec = TreeSpec(2, 2)
