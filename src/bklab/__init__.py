@@ -58,7 +58,6 @@ from .transforms import (
     optimal_beta,
     random_disjoint_family,
     random_maximal_family,
-    tau_target,
     theorem41_gap,
     theorem42_gap,
     verify_suite,

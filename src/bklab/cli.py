@@ -20,7 +20,7 @@ from .dyadic import StepFunction, TreeSpec, linearize, maximal_function
 from .errors import BklabError, ConvergenceError, DomainError
 from .kernel import BellmanParams
 from .search import brute_force_oracle, convergence_study, local_search, study_to_csv
-from .transforms import eigen_residual, g_phi, gap_rows_to_csv, tau_target, verify_suite
+from .transforms import eigen_residual, g_phi, gap_rows_to_csv, verify_suite
 
 # the library accepts any q in (0, 1); the CLI narrows the range because
 # the 1/(1-q) factors lose conditioning near the endpoints
@@ -355,7 +355,7 @@ def _cmd_residual(args, cfg):
         "excess_part": res.excess_part,
         "flat_part": res.flat_part,
         "excess_measure": res.excess_measure,
-        "tau": tau_target(p),
+        "tau": p.tau,
     }
     emit_report(report, "json", args.out)
     return 0

@@ -551,10 +551,14 @@ class SlackRecord:
 
 def weak_type_gap(phi: StepFunction, lam: float, spec: TreeSpec) -> SlackRecord:
     """mu({M phi > lam}) <= (1/lam) integral of phi over {M phi > lam}."""
+    return _weak_type_slack(maximal_function(phi, spec).leaf_values(spec),
+                            phi.leaf_values(spec), lam, spec)
+
+
+def _weak_type_slack(mvals, leaf_vals, lam, spec: TreeSpec) -> SlackRecord:
+    """weak_type_gap from the leaf values of M phi and of phi."""
     if lam <= 0:
         raise DomainError(f"weak-type level must be positive, got {lam}")
-    mvals = maximal_function(phi, spec).leaf_values(spec)
-    leaf_vals = phi.leaf_values(spec)
     w = float(spec.leaf_measure)
     idx = [i for i in range(spec.n_leaves) if mvals[i] > lam]
     lhs = w * len(idx)
@@ -564,14 +568,19 @@ def weak_type_gap(phi: StepFunction, lam: float, spec: TreeSpec) -> SlackRecord:
 
 def kolmogorov_gap(phi: StepFunction, q: float, leaves, spec: TreeSpec) -> SlackRecord:
     """integral_E (M phi)^q <= (1-q)^-1 mu(E)^(1-q) ||phi||_1^q for any leaf union E."""
+    return _kolmogorov_slack(maximal_function(phi, spec).leaf_values(spec),
+                             float(phi.integral()), q, leaves, spec)
+
+
+def _kolmogorov_slack(mvals, norm1: float, q: float, leaves, spec: TreeSpec) -> SlackRecord:
+    """kolmogorov_gap from the leaf values of M phi and norm1 = ||phi||_1."""
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0, 1), got {q}")
     leaves = sorted(set(leaves))
     if leaves and not (0 <= leaves[0] and leaves[-1] < spec.n_leaves):
         raise DomainError("leaf indices out of range")
-    mvals = maximal_function(phi, spec).leaf_values(spec)
     w = float(spec.leaf_measure)
     lhs = sum(float(mvals[i]) ** q for i in leaves) * w
     mu_e = w * len(leaves)
-    rhs = mu_e ** (1.0 - q) * float(phi.integral()) ** q / (1.0 - q)
+    rhs = mu_e ** (1.0 - q) * norm1 ** q / (1.0 - q)
     return SlackRecord(lhs=lhs, rhs=rhs)

@@ -37,10 +37,10 @@ from .dyadic import (
     TreeElement,
     TreeSpec,
     excess_set,
-    kolmogorov_gap,
+    _kolmogorov_slack,
+    _weak_type_slack,
     linearize,
     maximal_function,
-    weak_type_gap,
 )
 from .errors import (
     DomainError,
@@ -99,11 +99,6 @@ def eigen_residual(phi: StepFunction, params: BellmanParams, spec: TreeSpec) -> 
         flat_part=outside,
         excess_measure=k * w,
     )
-
-
-def tau_target(params: BellmanParams) -> float:
-    """Flat level L / c^(1/q) that near-extremizers approach off the excess set."""
-    return params.tau
 
 
 # -- gap evaluators -----------------------------------------------------
@@ -184,27 +179,54 @@ def random_disjoint_family(lin: Linearization, spec: TreeSpec, rng) -> tuple[Tre
     return tuple(sorted(keep))
 
 
-def _gap_parts(phi, q, family, lin, spec):
-    """Float leaf arrays of M phi and phi, plus the family's average q-mass.
+# kind -> (family must be maximal, gap taken over the complement of the union)
+_GAP_KINDS = {
+    "theorem41": (True, True),
+    "theorem42": (False, False),
+    "corollary41": (False, True),
+}
 
-    M phi is reassembled from the linearization's A-sets rather than
-    recomputed, and the float arrays are memoized on lin so that beta sweeps
-    pay the conversion once.
+
+def _leaf_floats(phi, lin, spec):
+    """Float leaf arrays of M phi (reassembled from lin's A-sets) and of phi."""
+    mvals = [0.0] * spec.n_leaves
+    for el, idxs in lin.a_sets.items():
+        y = float(lin.averages[el])
+        for i in idxs:
+            mvals[i] = y
+    return mvals, [float(v) for v in phi.leaf_values(spec)]
+
+
+def _gap_sweep(kind, phi, spec, q, family, betas, lin=None, floats=None, norm1=None):
+    """One InequalityGap per beta for one evaluator kind and one family.
+
+    Everything but the final rhs formula is independent of beta and is
+    computed once.  A caller that already holds ``_leaf_floats`` and
+    ``float(phi.integral())`` passes them as ``floats`` and ``norm1``.
     """
-    cache = getattr(lin, "_float_leaves", None)
-    if cache is None:
-        mvals = [0.0] * spec.n_leaves
-        for el, idxs in lin.a_sets.items():
-            y = float(lin.averages[el])
-            for i in idxs:
-                mvals[i] = y
-        lvals = [float(v) for v in phi.leaf_values(spec)]
-        cache = (mvals, lvals)
-        object.__setattr__(lin, "_float_leaves", cache)
-    mvals, lvals = cache
+    for beta in betas:
+        if beta <= 0:
+            raise DomainError(f"beta must be positive, got {beta}")
+    if not (0.0 < q < 1.0):
+        raise DomainError(f"q must lie in (0, 1), got {q}")
+    maximal, complement = _GAP_KINDS[kind]
+    family = tuple(family)
+    lin = lin if lin is not None else linearize(phi, spec)
+    union = _family_leaves(family, lin, spec, maximal=maximal)
+    mvals, lvals = floats if floats is not None else _leaf_floats(phi, lin, spec)
     w = float(spec.leaf_measure)
     e1 = sum(float(el.measure(spec.m)) * float(lin.averages[el]) ** q for el in family)
-    return mvals, lvals, w, e1
+    if complement:
+        region = [i for i in range(spec.n_leaves) if i not in union]
+        fq = (float(phi.integral()) if norm1 is None else norm1) ** q
+        e = fq - e1
+    else:
+        region, e = union, e1
+    lhs = sum(mvals[i] ** q for i in region) * w
+    s = sum(lvals[i] ** q for i in region) * w
+    return [InequalityGap(beta=beta, lhs=lhs,
+                          rhs=((beta + 1.0) * e - (beta + 1.0) ** q * s) / ((1.0 - q) * beta))
+            for beta in betas]
 
 
 def theorem41_gap(phi, spec: TreeSpec, q: float, family, beta: float,
@@ -214,53 +236,19 @@ def theorem41_gap(phi, spec: TreeSpec, q: float, family, beta: float,
     lhs = integral of (M phi)^q off the union; rhs uses the family averages
     and the q-mass of phi off the union.
     """
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    lin = lin if lin is not None else linearize(phi, spec)
-    union = _family_leaves(family, lin, spec, maximal=True)
-    mvals, lvals, w, e1 = _gap_parts(phi, q, family, lin, spec)
-    comp = [i for i in range(spec.n_leaves) if i not in union]
-    lhs = sum(mvals[i] ** q for i in comp) * w
-    s = sum(lvals[i] ** q for i in comp) * w
-    fq = float(phi.integral()) ** q
-    rhs = ((beta + 1.0) * (fq - e1) - (beta + 1.0) ** q * s) / ((1.0 - q) * beta)
-    return InequalityGap(beta=beta, lhs=lhs, rhs=rhs)
+    return _gap_sweep("theorem41", phi, spec, q, family, [beta], lin)[0]
 
 
 def theorem42_gap(phi, spec: TreeSpec, q: float, family, beta: float,
                   lin: Linearization | None = None) -> InequalityGap:
     """Gap over the union of a disjoint family in S_phi (no maximality needed)."""
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    lin = lin if lin is not None else linearize(phi, spec)
-    union = _family_leaves(family, lin, spec, maximal=False)
-    mvals, lvals, w, e1 = _gap_parts(phi, q, family, lin, spec)
-    lhs = sum(mvals[i] ** q for i in union) * w
-    s = sum(lvals[i] ** q for i in union) * w
-    rhs = ((beta + 1.0) * e1 - (beta + 1.0) ** q * s) / ((1.0 - q) * beta)
-    return InequalityGap(beta=beta, lhs=lhs, rhs=rhs)
+    return _gap_sweep("theorem42", phi, spec, q, family, [beta], lin)[0]
 
 
 def corollary41_gap(phi, spec: TreeSpec, q: float, family, beta: float,
                     lin: Linearization | None = None) -> InequalityGap:
     """Complement-side gap for a disjoint family without the maximality demand."""
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    lin = lin if lin is not None else linearize(phi, spec)
-    union = _family_leaves(family, lin, spec, maximal=False)
-    mvals, lvals, w, e1 = _gap_parts(phi, q, family, lin, spec)
-    comp = [i for i in range(spec.n_leaves) if i not in union]
-    lhs = sum(mvals[i] ** q for i in comp) * w
-    s = sum(lvals[i] ** q for i in comp) * w
-    fq = float(phi.integral()) ** q
-    rhs = ((beta + 1.0) * (fq - e1) - (beta + 1.0) ** q * s) / ((1.0 - q) * beta)
-    return InequalityGap(beta=beta, lhs=lhs, rhs=rhs)
+    return _gap_sweep("corollary41", phi, spec, q, family, [beta], lin)[0]
 
 
 def optimal_beta(e1: float, s: float, q: float) -> float:
@@ -483,6 +471,12 @@ def verify_suite(n_phi: int, spec: TreeSpec, q: float, *, n_beta: int = 50,
     carries the level for weak-type rows and the union measure for q-integral
     rows.
     """
+    for name, value in (("n_phi", n_phi), ("n_beta", n_beta)):
+        if value < 1:
+            raise DomainError(f"{name} must be at least 1, got {value}")
+    for name, value in (("beta_lo", beta_lo), ("beta_hi", beta_hi)):
+        if not (0.0 < value < math.inf):
+            raise DomainError(f"{name} must be finite and positive, got {value}")
     rng = random.Random(seed)
     betas = [beta_lo * (beta_hi / beta_lo) ** (i / (n_beta - 1)) for i in range(n_beta)] \
         if n_beta > 1 else [beta_lo]
@@ -490,18 +484,7 @@ def verify_suite(n_phi: int, spec: TreeSpec, q: float, *, n_beta: int = 50,
     checks = 0
     violations = 0
     min_slack = math.inf
-    by_kind = {
-        "theorem41": math.inf,
-        "theorem42": math.inf,
-        "corollary41": math.inf,
-        "weak_type": math.inf,
-        "kolmogorov": math.inf,
-    }
-    evaluators = (
-        ("theorem41", theorem41_gap, "maximal"),
-        ("theorem42", theorem42_gap, "disjoint"),
-        ("corollary41", corollary41_gap, "disjoint"),
-    )
+    by_kind = dict.fromkeys((*_GAP_KINDS, "weak_type", "kolmogorov"), math.inf)
 
     def record(pid, kind, label, gap):
         nonlocal checks, violations, min_slack
@@ -518,26 +501,25 @@ def verify_suite(n_phi: int, spec: TreeSpec, q: float, *, n_beta: int = 50,
     for pid in range(n_phi):
         phi = random_step_function(rng, spec)
         lin = linearize(phi, spec)
-        fams = {
-            "maximal": random_maximal_family(lin, spec, rng),
-            "disjoint": random_disjoint_family(lin, spec, rng),
-        }
-        for kind, fn, fam_key in evaluators:
-            fam = fams[fam_key]
-            for beta in betas:
-                gap = fn(phi, spec, q, fam, beta, lin=lin)
-                record(pid, kind, f"{kind}:{fam_key}", gap)
+        fam_max = random_maximal_family(lin, spec, rng)
+        fam_dis = random_disjoint_family(lin, spec, rng)
+        mvals, lvals = _leaf_floats(phi, lin, spec)
+        norm1 = float(phi.integral())
+        for kind, (maximal, _) in _GAP_KINDS.items():
+            fam, label = (fam_max, "maximal") if maximal else (fam_dis, "disjoint")
+            for gap in _gap_sweep(kind, phi, spec, q, fam, betas, lin, (mvals, lvals), norm1):
+                record(pid, kind, f"{kind}:{label}", gap)
         top = float(max(lin.averages.values(), default=0.0)) or 1.0
         for _ in range(5):
             lam = top * math.exp(rng.uniform(math.log(1e-3), math.log(1.2)))
-            sr = weak_type_gap(phi, lam, spec)
+            sr = _weak_type_slack(mvals, lvals, lam, spec)
             record(pid, "weak_type", "weak_type:level",
                    InequalityGap(beta=lam, lhs=sr.lhs, rhs=sr.rhs))
         unions = [list(range(spec.n_leaves))]
         for _ in range(2):
             unions.append([i for i in range(spec.n_leaves) if rng.random() < 0.5])
         for leaves in unions:
-            sr = kolmogorov_gap(phi, q, leaves, spec)
+            sr = _kolmogorov_slack(mvals, norm1, q, leaves, spec)
             measure = len(leaves) * float(spec.leaf_measure)
             record(pid, "kolmogorov", "kolmogorov:union",
                    InequalityGap(beta=measure, lhs=sr.lhs, rhs=sr.rhs))

@@ -272,6 +272,19 @@ class TestVerifyCommand:
         assert code == 1
         assert "nope" in err
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--beta-hi", "-1", "beta_hi"),
+        ("--beta-lo", "0", "beta_lo"),
+        ("--beta-points", "-2", "n_beta"),
+        ("--n", "0", "n_phi"),
+    ])
+    def test_bad_argument_is_domain_error(self, capsys, flag, value, name):
+        args = {"--N": "3", "--q": "0.5", "--n": "1", "--seed": "0", flag: value}
+        code, out, err = run_cli(capsys, "verify", *(x for kv in args.items() for x in kv))
+        assert code == 2
+        assert name in err
+        assert out == ""
+
 
 class TestSearchCommand:
     def test_reproduces_library_call(self, capsys):

@@ -1,5 +1,6 @@
 """Tests for the gap evaluators, the residual, and the g transform."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -12,8 +13,10 @@ from bklab.dyadic import (
     TreeElement,
     TreeSpec,
     excess_set,
+    kolmogorov_gap,
     linearize,
     maximal_function,
+    weak_type_gap,
 )
 from bklab.errors import (
     DomainError,
@@ -24,6 +27,7 @@ from bklab.errors import (
 from bklab.kernel import BellmanParams, omega_q
 from bklab.transforms import (
     GAP_CSV_HEADER,
+    InequalityGap,
     ancestor_max_averages,
     corollary41_gap,
     default_refine,
@@ -206,6 +210,16 @@ class TestGapEvaluators:
                                 violations += 1
         assert violations == 0
 
+    def test_family_may_be_an_iterator(self):
+        # the family is read once, so an iterator gives the same gap as a tuple
+        spec = TreeSpec(2, 4)
+        phi = random_step_function(random.Random(8), spec)
+        lin = linearize(phi, spec)
+        fam = random_disjoint_family(lin, spec, random.Random(8))
+        for fn in (theorem42_gap, corollary41_gap):
+            want = fn(phi, spec, 0.5, fam, 2.0, lin=lin)
+            assert fn(phi, spec, 0.5, iter(fam), 2.0, lin=lin) == want
+
     def test_pointwise_inequality_behind_bounds(self):
         # t + (1-q)/q >= t^q / q for t >= 0 drives every bound above
         rng = random.Random(9)
@@ -285,6 +299,82 @@ class TestVerifySuite:
         b = verify_suite(5, spec, 0.5, n_beta=4, seed=9)
         assert a.min_slack == b.min_slack
         assert a.min_slack_by_kind == b.min_slack_by_kind
+
+    @pytest.mark.parametrize("m, depth, q", [(2, 6, 0.5), (3, 4, 0.3), (4, 3, 0.7)])
+    def test_rows_match_public_evaluators(self, m, depth, q):
+        # replay the suite's random draws and rebuild every row from the public
+        # per-beta, per-level and per-union evaluators, bit for bit
+        spec = TreeSpec(m, depth)
+        n_phi, n_beta, seed = 3, 7, 11
+        rows = []
+        verify_suite(n_phi, spec, q, n_beta=n_beta, seed=seed, collect=rows)
+
+        betas = [1e-3 * (1e3 / 1e-3) ** (i / (n_beta - 1)) for i in range(n_beta)]
+        rng = random.Random(seed)
+        want = []
+        for pid in range(n_phi):
+            phi = random_step_function(rng, spec)
+            lin = linearize(phi, spec)
+            fam_max = random_maximal_family(lin, spec, rng)
+            fam_dis = random_disjoint_family(lin, spec, rng)
+            for fn, label, fam in (
+                (theorem41_gap, "theorem41:maximal", fam_max),
+                (theorem42_gap, "theorem42:disjoint", fam_dis),
+                (corollary41_gap, "corollary41:disjoint", fam_dis),
+            ):
+                want += [(f"phi{pid}", label, fn(phi, spec, q, fam, beta)) for beta in betas]
+            top = float(max(lin.averages.values()))
+            for _ in range(5):
+                lam = top * math.exp(rng.uniform(math.log(1e-3), math.log(1.2)))
+                rec = weak_type_gap(phi, lam, spec)
+                want.append((f"phi{pid}", "weak_type:level",
+                             InequalityGap(beta=lam, lhs=rec.lhs, rhs=rec.rhs)))
+            unions = [list(range(spec.n_leaves))]
+            for _ in range(2):
+                unions.append([i for i in range(spec.n_leaves) if rng.random() < 0.5])
+            for leaves in unions:
+                rec = kolmogorov_gap(phi, q, leaves, spec)
+                want.append((f"phi{pid}", "kolmogorov:union",
+                             InequalityGap(beta=len(leaves) * float(spec.leaf_measure),
+                                           lhs=rec.lhs, rhs=rec.rhs)))
+
+        def hexed(rs):
+            return [(p, lab, g.beta.hex(), g.lhs.hex(), g.rhs.hex()) for p, lab, g in rs]
+
+        assert hexed(rows) == hexed(want)
+
+    def test_pinned_rows_and_min_slack(self):
+        # recorded when the suite still called the public evaluator once per beta
+        rows = []
+        rep = verify_suite(20, TreeSpec(2, 6), 0.5, n_beta=50, seed=7, collect=rows)
+        digest = hashlib.sha256()
+        for p, lab, g in rows:
+            digest.update(f"{p},{lab},{g.beta.hex()},{g.lhs.hex()},{g.rhs.hex()}\n".encode())
+        assert len(rows) == 3160
+        assert digest.hexdigest() == (
+            "470c099f976a1801e03731279726ef46a14e566eccbe896e36aac18afaa8c810")
+        assert rep.min_slack.hex() == "0x0.0p+0"
+        assert {k: v.hex() for k, v in rep.min_slack_by_kind.items()} == {
+            "theorem41": "0x1.004189374bc6ap-51",
+            "theorem42": "0x1.5b250979167c0p-10",
+            "corollary41": "0x1.d1a464337df70p-4",
+            "weak_type": "0x0.0p+0",
+            "kolmogorov": "0x1.35c486c6078e6p-1",
+        }
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_phi": 0}, "n_phi"),
+        ({"n_beta": 0}, "n_beta"),
+        ({"n_beta": -2}, "n_beta"),
+        ({"beta_lo": 0.0}, "beta_lo"),
+        ({"beta_lo": math.inf}, "beta_lo"),
+        ({"beta_hi": -1.0}, "beta_hi"),
+        ({"beta_hi": math.nan}, "beta_hi"),
+    ])
+    def test_bad_arguments_raise_and_name_themselves(self, kwargs, name):
+        n_phi = kwargs.pop("n_phi", 1)
+        with pytest.raises(DomainError, match=name):
+            verify_suite(n_phi, TreeSpec(2, 3), 0.5, **kwargs)
 
 
 class TestGPhi:
