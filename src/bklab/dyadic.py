@@ -13,6 +13,11 @@ the function value, so truncating the supremum at depth N is lossless and
 The linearization assigns to each point the shallowest ancestor attaining
 that maximum, giving the distinguished family S_phi, the sets A(phi, I) and
 the representation M phi = sum y_I 1_{A(phi, I)}.
+
+All tree evaluators share one levels pass (``_levels``: every average from
+its m children, in index order) and one running max (``_running_max``: per
+leaf, the largest ancestor average and the shallowest depth attaining it),
+so M phi, the A-sets, the excess set and the inequality gaps agree to the bit.
 """
 
 from __future__ import annotations
@@ -116,6 +121,11 @@ def _as_value(v) -> Value:
     return val
 
 
+def _run_starts(values) -> list[int]:
+    """Index of the first value of each run of equal values."""
+    return [i for i, v in enumerate(values) if i == 0 or v != values[i - 1]]
+
+
 class StepFunction:
     """Nonnegative piecewise-constant function on [0, 1).
 
@@ -173,26 +183,21 @@ class StepFunction:
 
     @classmethod
     def from_leaf_values(cls, values, spec: TreeSpec) -> "StepFunction":
-        values = list(values)
-        if len(values) != spec.n_leaves:
-            raise DomainError(f"expected {spec.n_leaves} leaf values, got {len(values)}")
-        w = spec.leaf_measure
-        bps = [w * i for i in range(spec.n_leaves + 1)]
-        return cls(bps, values).simplify()
+        """Value per depth-N leaf, all validated; runs of equal values merge."""
+        vals = [_as_value(v) for v in values]
+        n = spec.n_leaves
+        if len(vals) != n:
+            raise DomainError(f"expected {n} leaf values, got {len(vals)}")
+        starts = _run_starts(vals)
+        return cls([Fraction(i, n) for i in starts] + [1], [vals[i] for i in starts])
 
     # -- basic structure ------------------------------------------------
 
     def simplify(self) -> "StepFunction":
         """Merge adjacent pieces with equal values."""
-        bps = [self.breakpoints[0]]
-        vals = []
-        for i, v in enumerate(self.values):
-            if vals and v == vals[-1]:
-                bps[-1] = self.breakpoints[i + 1]
-            else:
-                vals.append(v)
-                bps.append(self.breakpoints[i + 1])
-        return StepFunction(bps, vals)
+        starts = _run_starts(self.values)
+        return StepFunction([self.breakpoints[i] for i in starts] + [1],
+                            [self.values[i] for i in starts])
 
     @property
     def is_exact(self) -> bool:
@@ -220,21 +225,19 @@ class StepFunction:
 
     def is_leaf_aligned(self, spec: TreeSpec) -> bool:
         n = spec.n_leaves
-        return all((b * n).denominator == 1 for b in self.breakpoints)
+        return all(n % b.denominator == 0 for b in self.breakpoints)
 
     def leaf_values(self, spec: TreeSpec) -> list[Value]:
+        """Value on each depth-N leaf; each piece covers a whole number of leaves."""
         if not self.is_leaf_aligned(spec):
             raise NotTGoodError(
                 f"function is not aligned to the depth-{spec.depth} leaf grid"
             )
-        w = spec.leaf_measure
+        n = spec.n_leaves
+        ends = [b.numerator * (n // b.denominator) for b in self.breakpoints]
         out = []
-        piece = 0
-        for i in range(spec.n_leaves):
-            x = w * i
-            while self.breakpoints[piece + 1] <= x:
-                piece += 1
-            out.append(self.values[piece])
+        for v, a, b in zip(self.values, ends, ends[1:]):
+            out += [v] * (b - a)
         return out
 
     # -- integrals ------------------------------------------------------
@@ -248,36 +251,26 @@ class StepFunction:
 
     def q_integral(self, q: float) -> float:
         """Integral of phi^q; float (fractional powers leave the rationals)."""
-        total = 0.0
-        for i, v in enumerate(self.values):
-            length = float(self.breakpoints[i + 1] - self.breakpoints[i])
-            total += float(v) ** q * length
-        return total
+        return self.q_integral_over(0, 1, q)
+
+    def _overlaps(self, a, b) -> list:
+        """(value, overlap length) for each piece meeting [a, b) within [0, 1]."""
+        a, b = Fraction(a), Fraction(b)
+        if not (0 <= a <= b <= 1):
+            raise DomainError(f"bad interval [{a}, {b})")
+        out = []
+        for v, lo, hi in zip(self.values, self.breakpoints, self.breakpoints[1:]):
+            lo, hi = max(a, lo), min(b, hi)
+            if hi > lo:
+                out.append((v, hi - lo))
+        return out
 
     def integral_over(self, a, b):
         """Integral over [a, b) within [0, 1]; exact for Fraction values."""
-        a, b = Fraction(a), Fraction(b)
-        if not (0 <= a <= b <= 1):
-            raise DomainError(f"bad interval [{a}, {b})")
-        total = 0
-        for i, v in enumerate(self.values):
-            lo = max(a, self.breakpoints[i])
-            hi = min(b, self.breakpoints[i + 1])
-            if hi > lo:
-                total += v * (hi - lo)
-        return total
+        return sum(v * length for v, length in self._overlaps(a, b))
 
     def q_integral_over(self, a, b, q: float) -> float:
-        a, b = Fraction(a), Fraction(b)
-        if not (0 <= a <= b <= 1):
-            raise DomainError(f"bad interval [{a}, {b})")
-        total = 0.0
-        for i, v in enumerate(self.values):
-            lo = max(a, self.breakpoints[i])
-            hi = min(b, self.breakpoints[i + 1])
-            if hi > lo:
-                total += float(v) ** q * float(hi - lo)
-        return total
+        return sum((float(v) ** q * float(length) for v, length in self._overlaps(a, b)), 0.0)
 
     def average_over(self, element: TreeElement, m: int):
         return self.integral_over(element.start(m), element.end(m)) * m**element.depth
@@ -337,38 +330,51 @@ class StepFunction:
 # -- tree machinery -----------------------------------------------------
 
 
-def tree_averages(phi: StepFunction, spec: TreeSpec) -> list[list[Value]]:
-    """Averages of phi over every element, indexed [depth][index].
+def _levels(leaves: list, m: int) -> list[list]:
+    """Averages over every element, [depth][index], built from the leaf row up.
 
-    Exact when phi has Fraction values.  Requires leaf alignment.
+    Each average sums its m children in index order, then divides by m; the
+    same arithmetic serves float and Fraction leaves.
     """
-    leaves = phi.leaf_values(spec)
-    m = spec.m
-    levels = [None] * (spec.depth + 1)
-    levels[spec.depth] = leaves
-    for d in range(spec.depth - 1, -1, -1):
-        below = levels[d + 1]
-        if phi.is_exact:
-            inv = Fraction(1, m)
-            levels[d] = [sum(below[j * m + i] for i in range(m)) * inv
-                         for j in range(m**d)]
-        else:
-            levels[d] = [sum(float(below[j * m + i]) for i in range(m)) / m
-                         for j in range(m**d)]
+    levels = [leaves]
+    while len(levels[0]) > 1:
+        below = levels[0]
+        levels.insert(0, [sum(below[j:j + m]) / m for j in range(0, len(below), m)])
     return levels
 
 
-def maximal_function(phi: StepFunction, spec: TreeSpec) -> StepFunction:
-    """M phi as a step function on the same leaf grid.
+def _running_max(levels: list[list], m: int) -> tuple[list, list[int]]:
+    """Per leaf, the largest ancestor average and the shallowest depth attaining it."""
+    best, depth = levels[0], [0]
+    for d in range(1, len(levels)):
+        new_best, new_depth = [], []
+        for j, v in enumerate(levels[d]):
+            if v > best[j // m]:
+                new_best.append(v)
+                new_depth.append(d)
+            else:
+                new_best.append(best[j // m])
+                new_depth.append(depth[j // m])
+        best, depth = new_best, new_depth
+    return best, depth
 
-    Running maximum of ancestor averages down the tree; exact in rational mode.
+
+def tree_averages(phi: StepFunction, spec: TreeSpec) -> list[list[Value]]:
+    """Averages of phi over every element, indexed [depth][index].
+
+    Exact when phi has Fraction values; otherwise every leaf is made a float
+    first.  Requires leaf alignment.
     """
-    levels = tree_averages(phi, spec)
-    m = spec.m
-    running = list(levels[0])
-    for d in range(1, spec.depth + 1):
-        running = [max(running[j // m], levels[d][j]) for j in range(m**d)]
-    return StepFunction.from_leaf_values(running, spec)
+    leaves = phi.leaf_values(spec)
+    if not phi.is_exact:
+        leaves = [float(v) for v in leaves]
+    return _levels(leaves, spec.m)
+
+
+def maximal_function(phi: StepFunction, spec: TreeSpec) -> StepFunction:
+    """M phi as a step function on the same leaf grid; exact in rational mode."""
+    best = _running_max(tree_averages(phi, spec), spec.m)[0]
+    return StepFunction.from_leaf_values(best, spec)
 
 
 def is_t_good(phi: StepFunction, spec: TreeSpec) -> bool:
@@ -376,14 +382,9 @@ def is_t_good(phi: StepFunction, spec: TreeSpec) -> bool:
 
     For leaf-aligned step functions the supremum over all depths equals the
     maximum over depths 0..N (deeper averages repeat the leaf value), so this
-    always holds; the check is still performed literally.
+    always holds once alignment is checked.
     """
-    levels = tree_averages(phi, spec)
-    m = spec.m
-    for i in range(spec.n_leaves):
-        anc = [levels[d][i // m ** (spec.depth - d)] for d in range(spec.depth + 1)]
-        if max(anc) not in anc:
-            return False
+    phi.leaf_values(spec)  # raises NotTGoodError off the leaf grid
     return True
 
 
@@ -404,8 +405,8 @@ class Linearization:
     weights: dict
     star: dict
 
-    def maximal_from_parts(self) -> StepFunction:
-        """Reassemble M phi as sum of y_I over A(phi, I)."""
+    def _maximal_leaves(self) -> list:
+        """Leaf values of M phi: y_I on each leaf of A(phi, I)."""
         leaves = [None] * self.spec.n_leaves
         for el, idxs in self.a_sets.items():
             y = self.averages[el]
@@ -413,7 +414,11 @@ class Linearization:
                 leaves[i] = y
         if any(v is None for v in leaves):
             raise DomainError("A-sets do not cover [0, 1)")
-        return StepFunction.from_leaf_values(leaves, self.spec)
+        return leaves
+
+    def maximal_from_parts(self) -> StepFunction:
+        """Reassemble M phi as sum of y_I over A(phi, I)."""
+        return StepFunction.from_leaf_values(self._maximal_leaves(), self.spec)
 
 
 def linearize(phi: StepFunction, spec: TreeSpec) -> Linearization:
@@ -422,16 +427,8 @@ def linearize(phi: StepFunction, spec: TreeSpec) -> Linearization:
     m, N = spec.m, spec.depth
 
     a_sets: dict[TreeElement, list[int]] = {}
-    for i in range(spec.n_leaves):
-        best = None
-        best_depth = 0
-        for d in range(N + 1):
-            v = levels[d][i // m ** (N - d)]
-            if best is None or v > best:
-                best = v
-                best_depth = d
-        el = TreeElement(best_depth, i // m ** (N - best_depth))
-        a_sets.setdefault(el, []).append(i)
+    for i, d in enumerate(_running_max(levels, m)[1]):
+        a_sets.setdefault(TreeElement(d, i // m ** (N - d)), []).append(i)
 
     elements = set(a_sets)
     elements.add(ROOT)
@@ -522,7 +519,7 @@ def excess_set(phi: StepFunction, L, spec: TreeSpec, q: float) -> ExcessSet:
     leaves: list[int] = []
     for el in chosen:
         leaves.extend(el.leaf_range(spec))
-    leaf_vals = phi.leaf_values(spec)
+    leaf_vals = levels[-1]
     w = spec.leaf_measure
     measure = w * len(leaves)
     mass = sum((leaf_vals[i] * w for i in leaves), start=Fraction(0) if phi.is_exact else 0.0)
@@ -551,8 +548,8 @@ class SlackRecord:
 
 def weak_type_gap(phi: StepFunction, lam: float, spec: TreeSpec) -> SlackRecord:
     """mu({M phi > lam}) <= (1/lam) integral of phi over {M phi > lam}."""
-    return _weak_type_slack(maximal_function(phi, spec).leaf_values(spec),
-                            phi.leaf_values(spec), lam, spec)
+    levels = tree_averages(phi, spec)
+    return _weak_type_slack(_running_max(levels, spec.m)[0], levels[-1], lam, spec)
 
 
 def _weak_type_slack(mvals, leaf_vals, lam, spec: TreeSpec) -> SlackRecord:
@@ -568,7 +565,7 @@ def _weak_type_slack(mvals, leaf_vals, lam, spec: TreeSpec) -> SlackRecord:
 
 def kolmogorov_gap(phi: StepFunction, q: float, leaves, spec: TreeSpec) -> SlackRecord:
     """integral_E (M phi)^q <= (1-q)^-1 mu(E)^(1-q) ||phi||_1^q for any leaf union E."""
-    return _kolmogorov_slack(maximal_function(phi, spec).leaf_values(spec),
+    return _kolmogorov_slack(_running_max(tree_averages(phi, spec), spec.m)[0],
                              float(phi.integral()), q, leaves, spec)
 
 

@@ -306,6 +306,16 @@ def _seed_values(params: BellmanParams, spec: TreeSpec, ridx: int, rng) -> np.nd
 # -- greedy local search ------------------------------------------------
 
 
+def _require_feasible(params: BellmanParams, n: int) -> None:
+    """Refuse h < f^q n^(q-1), the least mean of v^q (all mass in one cell)."""
+    f, h, q = params.f, params.h, params.q
+    if h < f**q * n ** (q - 1.0) * (1.0 - 1e-12):
+        raise DomainError(
+            f"h = {h} is below f^q n^(q-1) = {f**q * n ** (q - 1.0)}: "
+            f"no function on {n} cells has these moments"
+        )
+
+
 def _three_cell_targets(vi, vj, vk, t, q):
     """New (a, b) for cells j, k after cell i moves to t, or None.
 
@@ -549,6 +559,7 @@ def local_search(params: BellmanParams, spec: TreeSpec, seed: int = 0,
         raise DomainError(f"budget must be positive, got {budget}")
     if restarts <= 0:
         raise DomainError(f"restarts must be positive, got {restarts}")
+    _require_feasible(params, spec.n_leaves)
     t0 = time.perf_counter()
     f, h, q = params.f, params.h, params.q
 
@@ -612,6 +623,7 @@ def brute_force_oracle(params: BellmanParams, spec: TreeSpec, grid: int = 8,
         raise ComplexityGuardError(
             f"{combos} patterns exceed the enumeration limit {_MAX_ORACLE_PATTERNS}"
         )
+    _require_feasible(params, n)
     f, h, q, L = params.f, params.h, params.q, params.L
     if tol is None:
         tol = f**q / (2.0 * grid)
@@ -623,10 +635,6 @@ def brute_force_oracle(params: BellmanParams, spec: TreeSpec, grid: int = 8,
 
     if n == 2:
         # the exact feasible set: x + y = 2f with (x^q + y^q)/2 = h
-        if h < f**q * 2.0 ** (q - 1.0) * (1.0 - 1e-12):
-            raise InfeasibleStartError(
-                "two cells cannot reach a q-mass below f^q 2^(q-1)"
-            )
         lo, hi = float(f), 2.0 * float(f)
         for _ in range(200):
             mid = 0.5 * (lo + hi)

@@ -38,9 +38,11 @@ from .dyadic import (
     TreeSpec,
     excess_set,
     _kolmogorov_slack,
+    _levels,
+    _running_max,
     _weak_type_slack,
     linearize,
-    maximal_function,
+    tree_averages,
 )
 from .errors import (
     DomainError,
@@ -57,7 +59,7 @@ def objective(phi: StepFunction, L: float, q: float, spec: TreeSpec) -> float:
     """integral of max(M phi, L)^q over [0, 1)."""
     if L <= 0:
         raise DomainError(f"threshold L must be positive, got {L}")
-    mvals = maximal_function(phi, spec).leaf_values(spec)
+    mvals = _running_max(tree_averages(phi, spec), spec.m)[0]
     w = float(spec.leaf_measure)
     return sum(max(float(v), L) ** q for v in mvals) * w
 
@@ -80,8 +82,8 @@ def eigen_residual(phi: StepFunction, params: BellmanParams, spec: TreeSpec) -> 
     """Theorem-style extremality defect of phi for the given problem data."""
     q, L = params.q, params.L
     root = params.eigenvalue_root
-    mvals = maximal_function(phi, spec).leaf_values(spec)
-    lvals = phi.leaf_values(spec)
+    levels = tree_averages(phi, spec)
+    mvals, lvals = _running_max(levels, spec.m)[0], levels[-1]
     w = float(spec.leaf_measure)
     inside = 0.0
     outside = 0.0
@@ -115,16 +117,11 @@ class InequalityGap:
         return self.rhs - self.lhs
 
 
-def _leaf_span(el: TreeElement, spec: TreeSpec) -> tuple[int, int]:
-    width = spec.m ** (spec.depth - el.depth)
-    return el.index * width, (el.index + 1) * width
-
-
 def _family_leaves(family, lin: Linearization, spec: TreeSpec, *, maximal: bool) -> set[int]:
     """Validate a family against S_phi and return the union of its leaves.
 
     Tree elements overlap exactly when one contains the other, so disjointness
-    and comparability both reduce to interval tests on leaf index spans.
+    and comparability both reduce to interval tests on leaf index ranges.
     """
     family = list(family)
     if not family:
@@ -134,21 +131,21 @@ def _family_leaves(family, lin: Linearization, spec: TreeSpec, *, maximal: bool)
     for el in family:
         if el not in members:
             raise FamilyNotInSPhiError(f"{el} is not in S_phi")
-        spans.append(_leaf_span(el, spec))
-    for i, (alo, ahi) in enumerate(spans):
-        for blo, bhi in spans[i + 1:]:
-            if alo < bhi and blo < ahi:
+        spans.append(el.leaf_range(spec))
+    for i, a in enumerate(spans):
+        for b in spans[i + 1:]:
+            if a.start < b.stop and b.start < a.stop:
                 raise DomainError("family elements are not pairwise disjoint")
     if maximal:
         for el in lin.elements:
-            lo, hi = _leaf_span(el, spec)
-            if all(hi <= s or e <= lo for s, e in spans):
+            r = el.leaf_range(spec)
+            if all(r.stop <= s.start or s.stop <= r.start for s in spans):
                 raise FamilyNotMaximalError(
                     f"{el} in S_phi is comparable with no family member"
                 )
     leaves: set[int] = set()
-    for lo, hi in spans:
-        leaves.update(range(lo, hi))
+    for r in spans:
+        leaves.update(r)
     return leaves
 
 
@@ -161,12 +158,12 @@ def random_maximal_family(lin: Linearization, spec: TreeSpec, rng) -> tuple[Tree
     order = list(lin.elements)
     rng.shuffle(order)
     chosen: list[TreeElement] = []
-    spans: list[tuple[int, int]] = []
+    spans: list[range] = []
     for el in order:
-        lo, hi = _leaf_span(el, spec)
-        if all(hi <= s or e <= lo for s, e in spans):
+        r = el.leaf_range(spec)
+        if all(r.stop <= s.start or s.stop <= r.start for s in spans):
             chosen.append(el)
-            spans.append((lo, hi))
+            spans.append(r)
     return tuple(sorted(chosen))
 
 
@@ -189,12 +186,8 @@ _GAP_KINDS = {
 
 def _leaf_floats(phi, lin, spec):
     """Float leaf arrays of M phi (reassembled from lin's A-sets) and of phi."""
-    mvals = [0.0] * spec.n_leaves
-    for el, idxs in lin.a_sets.items():
-        y = float(lin.averages[el])
-        for i in idxs:
-            mvals[i] = y
-    return mvals, [float(v) for v in phi.leaf_values(spec)]
+    return ([float(y) for y in lin._maximal_leaves()],
+            [float(v) for v in phi.leaf_values(spec)])
 
 
 def _gap_sweep(kind, phi, spec, q, family, betas, lin=None, floats=None, norm1=None):
@@ -388,44 +381,26 @@ def g_phi(phi: StepFunction, L, q: float, spec: TreeSpec,
 
 def leaf_integrals(g: StepFunction, spec: TreeSpec) -> list:
     """Integral of g over each depth-N leaf, by one sweep over the pieces."""
-    w = spec.leaf_measure
-    out = [Fraction(0) if g.is_exact else 0.0] * spec.n_leaves
-    piece = 0
-    for i in range(spec.n_leaves):
-        lo, hi = w * i, w * (i + 1)
-        while piece < len(g.values) and g.breakpoints[piece + 1] <= lo:
-            piece += 1
-        j = piece
-        total = out[i]
-        while j < len(g.values) and g.breakpoints[j] < hi:
-            a = max(lo, g.breakpoints[j])
-            b = min(hi, g.breakpoints[j + 1])
-            if b > a:
-                total = total + g.values[j] * (b - a)
-            j += 1
-        out[i] = total
+    n = spec.n_leaves
+    out = [Fraction(0) if g.is_exact else 0.0] * n
+    for v, a, b in zip(g.values, g.breakpoints, g.breakpoints[1:]):
+        # leaves floor(a n) .. ceil(b n) - 1 meet [a, b) in positive length
+        for i in range(math.floor(a * n), math.ceil(b * n)):
+            lo, hi = max(a, Fraction(i, n)), min(b, Fraction(i + 1, n))
+            out[i] += v * (hi - lo)
     return out
 
 
 def ancestor_max_averages(g: StepFunction, spec: TreeSpec) -> list:
     """Per leaf, the max of Av_I(g) over ancestors of depth 0..N.
 
-    Works for functions that are not leaf aligned; for aligned ones this is
-    exactly the maximal function at leaf resolution.
+    Works for functions that are not leaf aligned (the leaf averages are the
+    leaf integrals times m^N); for aligned ones this is exactly the maximal
+    function at leaf resolution.
     """
-    ints = leaf_integrals(g, spec)
-    m = spec.m
-    levels = [ints]
-    for d in range(spec.depth - 1, -1, -1):
-        below = levels[0]
-        levels.insert(0, [sum(below[j * m + i] for i in range(m)) for j in range(m**d)])
-    # levels[d][j] holds the integral over element (d, j); averages rescale by m^d
-    running = [levels[0][0]]
-    for d in range(1, spec.depth + 1):
-        prev = running
-        scale = m**d
-        running = [max(prev[j // m], levels[d][j] * scale) for j in range(m**d)]
-    return running
+    n = spec.n_leaves
+    levels = _levels([v * n for v in leaf_integrals(g, spec)], spec.m)
+    return _running_max(levels, spec.m)[0]
 
 
 # -- randomized verification harness ------------------------------------

@@ -102,10 +102,22 @@ class TestExitCodes:
         assert code == 3
 
     def test_convergence_error_infeasible_search(self, capsys):
+        # feasible data (h >= f^q n^(q-1) = 0.5), but on the 0/1 grid the
+        # oracle's best pattern has too thin a support to repair
         code, _, err = run_cli(capsys, "search", "--oracle", "--q", "0.5",
                                "--f", "1", "--h", "0.6", "--L", "1.2",
-                               "--N", "1")
+                               "--N", "2", "--grid", "2")
         assert code == 3
+        assert "support fraction" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--oracle", "--q", "0.5", "--h", "0.6", "--N", "1"),
+        ("--q", "0.99", "--h", "0.8", "--N", "6"),
+    ])
+    def test_domain_error_infeasible_search_data(self, capsys, argv):
+        code, _, err = run_cli(capsys, "search", "--f", "1", "--L", "1.2", *argv)
+        assert code == 2
+        assert "f^q n^(q-1)" in err
 
     def test_io_error_missing_phi(self, capsys):
         code, _, err = run_cli(capsys, "maximal", "--phi", "/no/such/file.json")

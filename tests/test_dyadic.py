@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bklab.dyadic import (
     ROOT,
@@ -25,6 +27,7 @@ from bklab.dyadic import (
     weak_type_gap,
 )
 from bklab.errors import DomainError, NotTGoodError
+from bklab.search import leaf_maximal
 
 
 def brute_maximal(phi, spec):
@@ -98,6 +101,13 @@ class TestStepFunction:
     def test_simplify_merges(self):
         phi = StepFunction.from_leaf_values([1, 1, 2, 2], TreeSpec(2, 2))
         assert len(phi.values) == 2
+        # leaf_values -> from_leaf_values returns the same function
+        spec = TreeSpec(3, 2)
+        for vals in ([0.5, 0.5, 2.0, 0.0, 0.0, 0.0, 1.5, 2.0, 2.0],
+                     [Fraction(1, 3)] * 4 + [Fraction(0), 7, 7, Fraction(1, 3), 2],
+                     [1.5, Fraction(3, 2), Fraction(1, 3), 0.25, 0.25, 0, 0.0, 4, 4.0]):
+            phi = StepFunction.from_leaf_values(vals, spec)
+            assert StepFunction.from_leaf_values(phi.leaf_values(spec), spec) == phi
 
     def test_from_pieces_contiguity(self):
         with pytest.raises(DomainError):
@@ -106,6 +116,11 @@ class TestStepFunction:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             StepFunction.constant(-1.0)
+        # every leaf is validated, also one that would join its neighbour's run
+        with pytest.raises(DomainError):
+            StepFunction.from_leaf_values([1, True], TreeSpec(2, 1))
+        with pytest.raises(DomainError):
+            StepFunction.from_leaf_values([1.0, 1.0, -1.0, 1.0], TreeSpec(2, 2))
 
     def test_value_at_and_integrals(self):
         phi = StepFunction.from_pieces(
@@ -124,6 +139,12 @@ class TestStepFunction:
         assert not phi.is_leaf_aligned(spec)
         with pytest.raises(NotTGoodError):
             phi.leaf_values(spec)
+        # m-adic, but finer than the depth-2 leaves
+        finer = StepFunction.from_pieces([(0, Fraction(1, 8), 1), (Fraction(1, 8), 1, 2)])
+        with pytest.raises(NotTGoodError):
+            finer.leaf_values(spec)
+        with pytest.raises(NotTGoodError):
+            is_t_good(finer, spec)
 
     def test_json_roundtrip_exact(self):
         spec = TreeSpec(2, 3)
@@ -402,3 +423,41 @@ class TestClassicalInequalities:
         phi = StepFunction.constant(1.0)
         rec = kolmogorov_gap(phi, 0.5, [], spec)
         assert rec.lhs == 0.0 and rec.rhs == 0.0
+
+
+# (m, depth) with m in {2, 3, 4}, depth <= 6 and at most 64 leaves
+SHAPES = [(m, d) for m in (2, 3, 4) for d in range(7) if m**d <= 64]
+
+
+@st.composite
+def leaf_functions(draw, values):
+    m, depth = draw(st.sampled_from(SHAPES))
+    spec = TreeSpec(m, depth)
+    vals = draw(st.lists(values, min_size=spec.n_leaves, max_size=spec.n_leaves))
+    return StepFunction.from_leaf_values(vals, spec), spec
+
+
+FLOAT_VALUES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+EXACT_VALUES = st.one_of(st.just(0), st.fractions(0, 50, max_denominator=12))
+
+
+class TestProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(leaf_functions(FLOAT_VALUES))
+    def test_float_paths_agree_with_exact(self, case):
+        phi, spec = case
+        exact = [float(v) for v in maximal_function(phi.to_exact(), spec).leaf_values(spec)]
+        mine = [float(v) for v in maximal_function(phi, spec).leaf_values(spec)]
+        batch = leaf_maximal([float(v) for v in phi.leaf_values(spec)], spec.m, spec.depth)
+        assert mine == pytest.approx(exact, rel=1e-12)
+        assert list(batch) == pytest.approx(exact, rel=1e-12)
+        assert list(batch) == pytest.approx(mine, rel=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(leaf_functions(EXACT_VALUES))
+    def test_exact_linearization_identities(self, case):
+        phi, spec = case
+        lin = linearize(phi, spec)
+        assert lin.maximal_from_parts() == maximal_function(phi, spec)
+        assert frozenset(lin.elements) == s_phi_by_criterion(phi, spec)
+        assert sum(lin.weights.values()) == 1

@@ -296,6 +296,14 @@ class TestLocalSearch:
             local_search(PARAMS, spec, budget=0)
         with pytest.raises(DomainError):
             local_search(PARAMS, spec, restarts=0)
+        # infeasible data: 64 cells at q = 0.99 need h >= 64^(-0.01) = 0.959
+        p = BellmanParams(q=0.99, f=1.0, h=0.8, L=1.2)
+        with pytest.raises(DomainError, match=r"f\^q n\^\(q-1\) = 0.959"):
+            local_search(p, TreeSpec(2, 6), budget=1, restarts=1)
+        # the bound itself is feasible: one cell carries all the mass
+        edge = BellmanParams(q=0.5, f=1.0, h=2.0**-0.5, L=1.2)
+        rep = local_search(edge, TreeSpec(2, 1), budget=5, restarts=1)
+        assert rep.objective <= rep.analytic_bound + 1e-9
 
     def test_seed_shapes_are_admissible_raw_material(self):
         spec = TreeSpec(2, 5)
@@ -335,8 +343,10 @@ class TestBruteForceOracle:
     def test_two_cell_infeasible_band(self):
         # two cells cannot push the q-mass below f^q 2^(q-1) = 0.7071
         p = BellmanParams(q=0.5, f=1.0, h=0.6, L=1.2)
-        with pytest.raises(InfeasibleStartError):
+        with pytest.raises(DomainError, match=r"f\^q n\^\(q-1\) = 0.7071"):
             brute_force_oracle(p, TreeSpec(2, 1))
+        with pytest.raises(DomainError, match="no function on 4 cells"):
+            brute_force_oracle(BellmanParams(q=0.5, f=1.0, h=0.45, L=1.2), TreeSpec(2, 2))
 
     def test_hoelder_equality_trivial(self):
         p = BellmanParams(q=0.5, f=1.0, h=1.0, L=1.2)
