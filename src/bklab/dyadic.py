@@ -426,34 +426,28 @@ def linearize(phi: StepFunction, spec: TreeSpec) -> Linearization:
     levels = tree_averages(phi, spec)
     m, N = spec.m, spec.depth
 
-    a_sets: dict[TreeElement, list[int]] = {}
+    # the A-sets, star walk and ordering work on (depth, index) keys; one
+    # TreeElement is built per member of S_phi, not per leaf
+    groups: dict[tuple[int, int], list[int]] = {(0, 0): []}
     for i, d in enumerate(_running_max(levels, m)[1]):
-        a_sets.setdefault(TreeElement(d, i // m ** (N - d)), []).append(i)
-
-    elements = set(a_sets)
-    elements.add(ROOT)
-    ordered = tuple(sorted(elements))
-
-    averages = {el: levels[el.depth][el.index] for el in ordered}
-    w = spec.leaf_measure
-    weights = {el: w * len(a_sets.get(el, ())) for el in ordered}
+        groups.setdefault((d, i // m ** (N - d)), []).append(i)
+    elements = {key: TreeElement(*key) for key in sorted(groups)}
 
     star: dict[TreeElement, TreeElement | None] = {}
-    for el in ordered:
-        if el.depth == 0:
-            star[el] = None
-            continue
-        cur = el.parent(m)
-        while cur not in elements:
-            cur = cur.parent(m)
-        star[el] = cur
+    for (d, j), el in elements.items():
+        up = None
+        while up is None and d > 0:
+            d, j = d - 1, j // m
+            up = elements.get((d, j))
+        star[el] = up
 
+    w = spec.leaf_measure
     return Linearization(
         spec=spec,
-        elements=ordered,
-        averages=averages,
-        a_sets={el: tuple(a_sets.get(el, ())) for el in ordered},
-        weights=weights,
+        elements=tuple(elements.values()),
+        averages={el: levels[d][j] for (d, j), el in elements.items()},
+        a_sets={el: tuple(groups[key]) for key, el in elements.items()},
+        weights={el: w * len(groups[key]) for key, el in elements.items()},
         star=star,
     )
 

@@ -44,14 +44,16 @@ def leaf_maximal(values, m: int, depth: int) -> np.ndarray:
     if v.shape[-1] != n:
         raise DomainError(f"last axis must have length {n}, got {v.shape[-1]}")
     out = np.full(v.shape, -np.inf)
-    for d in range(depth + 1):
+    for d in range(depth):
         # np.mean's own summation and division, without its Python wrapper
         shape = v.shape[:-1] + (m**d, m ** (depth - d))
         avg = np.add.reduce(v.reshape(shape), axis=-1)
         np.true_divide(avg, shape[-1], out=avg)
         blocks = out.reshape(shape)
         np.maximum(blocks, avg[..., None], out=blocks)
-    return out
+    # a leaf is its own one-cell block: summing it and dividing by 1 only
+    # turns -0.0 into 0.0, which adding 0.0 does too
+    return np.maximum(out, v + 0.0, out=out)
 
 
 def leaf_objective(values, L: float, q: float, m: int, depth: int):
@@ -429,12 +431,24 @@ def _consolidate_tail(vals, params, spec):
     return cur_obj, cur_res, vals
 
 
+# candidate rows per leaf_maximal call in the greedy loop: at depth 8 a lone
+# row costs 4x its share of an 8-row batch; wider windows waste more rows
+_WINDOW_ROWS = 8
+
+
 def _run_restart(params, spec, ridx, seed, budget, start=None):
-    """One greedy chain; returns (objective, defect, values, proposals) or None.
+    """One greedy chain of budget proposals; (objective, defect, values) or None.
 
     start, if given, is a raw leaf array used instead of the built-in seed
     shapes (still moment-repaired first).  defect is the float extremality
     residual of the consolidated values, used by the restart selection.
+
+    Proposals are scored speculatively, about _WINDOW_ROWS candidate rows
+    per leaf_maximal call, and visited in draw order; the first accept drops
+    the rest of its window.  Trajectories match one-at-a-time scoring bit
+    for bit: batch rows reduce as if alone, nothing a draw or a candidate
+    depends on changes before an accept, and an accept rewinds rng to the
+    window's start and replays the draws up to the accepted proposal.
     """
     rng = random.Random(f"{seed}:{ridx}:bklab-search")
     m, depth, n = spec.m, spec.depth, spec.n_leaves
@@ -469,9 +483,11 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
     cur = float(cur)
     slack = None  # cells of cur_mx at the floor; rebuilt after an accept
     tau = params.tau
-    used = 0
-    for it in range(budget):
-        used += 1
+
+    def propose():
+        """Draw one move: (i, j, k, t) three-cell, (i, j) swap, a block
+        slice to sort, or None for a draw that proposes nothing."""
+        nonlocal slack
         r = rng.random()
         if n >= 3 and r < 0.55:
             # below the floor the objective ignores the values, so such
@@ -482,59 +498,75 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
                 i = rng.randrange(n)
                 j, k = rng.sample(slack, 2)
                 if i == j or i == k:
-                    continue
+                    return None
             else:
                 i, j, k = rng.sample(range(n), 3)
-            vi, vj, vk = vals[i], vals[j], vals[k]
+            vi = vals[i]
             style = rng.random()
             if style < 0.25:
                 t = 0.0
             elif style < 0.4:
                 t = tau
             elif style < 0.5:
-                t = vj
+                t = vals[j]
             else:
                 t = vi * math.exp(rng.gauss(0.0, 0.7)) if vi > 0 else \
                     f * math.exp(rng.gauss(0.0, 1.0))
-            sol = _three_cell_targets(vi, vj, vk, t, q)
-            if sol is None:
-                continue
-            a, b = sol
-            # both orientations of (a, b) in one batch; the first wins ties
-            cand = np.array((vals, vals))
-            cand[:, i] = t
-            cand[:, j] = a, b
-            cand[:, k] = b, a
-            objs, mxs = evaluate(cand)
-            row = 1 if objs[1] > objs[0] else 0
-            obj = float(objs[row])
-            if obj > cur:
-                cur, cur_mx, slack = obj, mxs[row], None
-                vals[:] = cand[row]
-        elif r < 0.85:
+            return i, j, k, t
+        if r < 0.85:
             i, j = rng.sample(range(n), 2)
-            if vals[i] == vals[j]:
+            return None if vals[i] == vals[j] else (i, j)
+        d = rng.randrange(1, depth + 1)
+        idx = rng.randrange(m**d)
+        block = m ** (depth - d)
+        return slice(idx * block, (idx + 1) * block)
+
+    cand = np.empty((_WINDOW_ROWS + 1, n))
+    left = budget
+    while left:
+        state = rng.getstate()
+        # (draws up to the proposal, its row, its last row): a three-cell
+        # move stages both orientations of (a, b), the second winning only
+        # if strictly better
+        staged = []
+        rows = drawn = 0
+        while rows < _WINDOW_ROWS and drawn < left:
+            drawn += 1
+            move = propose()
+            if move is None:
                 continue
-            vals[i], vals[j] = vals[j], vals[i]
-            obj, mx = evaluate(vals)
-            if obj > cur:
-                cur, cur_mx, slack = float(obj), mx, None
+            row = rows
+            cand[row] = vals
+            if isinstance(move, slice):
+                cand[row, move] = np.sort(vals[move])[::-1]
+            elif len(move) == 2:
+                i, j = move
+                cand[row, i], cand[row, j] = vals[j], vals[i]
             else:
-                vals[i], vals[j] = vals[j], vals[i]
-        else:
-            d = rng.randrange(1, depth + 1)
-            idx = rng.randrange(m**d)
-            block = m ** (depth - d)
-            sl = slice(idx * block, (idx + 1) * block)
-            keep = vals[sl].copy()
-            vals[sl] = np.sort(keep)[::-1]
-            obj, mx = evaluate(vals)
-            if obj > cur:
-                cur, cur_mx, slack = float(obj), mx, None
-            else:
-                vals[sl] = keep
-    cur, defect, vals = _consolidate_tail(vals, params, spec)
-    return cur, defect, vals, used
+                i, j, k, t = move
+                sol = _three_cell_targets(vals[i], vals[j], vals[k], t, q)
+                if sol is None:
+                    continue
+                rows += 1
+                cand[rows] = vals
+                cand[row:rows + 1, i] = t
+                cand[row:rows + 1, j] = sol
+                cand[row:rows + 1, k] = sol[::-1]
+            staged.append((drawn, row, rows))
+            rows += 1
+        objs, mxs = evaluate(cand[:rows])
+        for upto, row, last in staged:
+            row = last if objs[last] > objs[row] else row
+            if objs[row] > cur:
+                rng.setstate(state)
+                for _ in range(upto):
+                    propose()
+                drawn = upto
+                vals[:] = cand[row]
+                cur, cur_mx, slack = float(objs[row]), mxs[row], None
+                break
+        left -= drawn
+    return _consolidate_tail(vals, params, spec)
 
 
 _SELECT_REL_TOL = 5e-3
@@ -572,15 +604,11 @@ def local_search(params: BellmanParams, spec: TreeSpec, seed: int = 0,
     n_extra = len(extras)
 
     kept = []
-    total_iters = 0
     for ridx in range(restarts + n_extra):
         start = extras[ridx] if ridx < n_extra else None
         out = _run_restart(params, spec, ridx, seed, budget, start=start)
-        if out is None:
-            continue
-        obj, defect, vals, used = out
-        total_iters += used
-        kept.append((ridx, obj, defect, vals))
+        if out is not None:
+            kept.append((ridx, *out))
     if not kept:
         raise InfeasibleStartError(
             f"no restart found a feasible start at depth {spec.depth}"
@@ -591,7 +619,7 @@ def local_search(params: BellmanParams, spec: TreeSpec, seed: int = 0,
         (row for row in kept if row[1] >= floor),
         key=lambda row: (row[2], row[0]),
     )
-    return _finish_report(best_vals, params, spec, total_iters, seed,
+    return _finish_report(best_vals, params, spec, budget * len(kept), seed,
                           restarts + n_extra, best_ridx, t0)
 
 

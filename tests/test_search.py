@@ -1,5 +1,6 @@
 """Tests for the constrained maximizer, its oracle, and the depth study."""
 
+import hashlib
 import json
 import math
 import random
@@ -66,6 +67,30 @@ class TestLeafMaximal:
                 for row in range(size):
                     single = leaf_maximal(batch[row], m, depth)
                     assert np.array_equal(got[row], single), (m, depth, size, row)
+
+    def test_leaf_level_matches_per_level_loop(self):
+        # leaf_maximal takes its deepest level, one leaf per block, as the
+        # leaves themselves; here every level is summed and divided, and
+        # the bits must agree, signed zeros included
+        rng = np.random.default_rng(5)
+        for m, depth in ((2, 1), (2, 6), (3, 4), (4, 3)):
+            n = m**depth
+            for shape in ((n,), (3, n), (8, n)):
+                v = rng.random(shape) * 2.0
+                v[rng.random(shape) < 0.3] = 0.0
+                v[rng.random(shape) < 0.1] = -0.0
+                v[..., :m] = 0.0
+                if len(shape) == 2:
+                    v[0] = 0.0
+                    v[1] = -0.0
+                want = np.full(shape, -np.inf)
+                for d in range(depth + 1):
+                    blocks = shape[:-1] + (m**d, m ** (depth - d))
+                    avg = np.add.reduce(v.reshape(blocks), axis=-1) / blocks[-1]
+                    view = want.reshape(blocks)
+                    np.maximum(view, avg[..., None], out=view)
+                got = leaf_maximal(v, m, depth)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (m, depth, shape)
 
     def test_constant_input(self):
         out = leaf_maximal(np.full(8, 1.75), 2, 3)
@@ -282,6 +307,50 @@ class TestLocalSearch:
     def test_fixed_seed_results_are_pinned(self, seed):
         rep = local_search(PARAMS, TreeSpec(2, 8), seed=seed, budget=300, restarts=2)
         assert (rep.objective.hex(), rep.residual.hex()) == self.PINNED[seed]
+
+    # (m, depth, budget, restarts) -> float.hex of objective and residual,
+    # best_restart, iterations and the SHA-256 of the winning leaf array,
+    # all at seed 0.  Budgets 1, 7, 8, 9 straddle the first window of
+    # speculatively scored proposals; the other trees cover m = 3, 4 and
+    # a deeper binary tree.
+    TRAJECTORIES = {
+        (2, 8, 1, 2): ("0x1.73123fe6b76d0p+0", "0x1.dfd3f9753d420p-1", 1, 2,
+                       "fb0b58cd7512c7b2937ead5fe07df21c07caf47a065dad9f6f2d6cae9fe58684"),
+        (2, 8, 7, 2): ("0x1.73123fe6b76d0p+0", "0x1.dfd3f9753d420p-1", 1, 14,
+                       "fb0b58cd7512c7b2937ead5fe07df21c07caf47a065dad9f6f2d6cae9fe58684"),
+        (2, 8, 8, 2): ("0x1.73123fe6b76d0p+0", "0x1.dfd3f9753d420p-1", 1, 16,
+                       "fb0b58cd7512c7b2937ead5fe07df21c07caf47a065dad9f6f2d6cae9fe58684"),
+        (2, 8, 9, 2): ("0x1.73136fd239f15p+0", "0x1.df6f9349ff160p-1", 1, 18,
+                       "def78df392117b3c0f207adf52d46ba22a33e876f4bd4773a0093a4940385806"),
+        (2, 8, 300, 2): ("0x1.730ecbfdda4b5p+0", "0x1.c85a0b5071d6dp-1", 1, 600,
+                         "b107fd81d19c77aae95a0570c7c255339ef8d2a0a1fceda343cdb88c2f90fa6e"),
+        (3, 5, 500, 3): ("0x1.658dfbd8d011ap+0", "0x1.b709b9e0027cep-1", 0, 1500,
+                         "b33c96a476bb3b7448c2d7ca6be3cdec2295e804d915cf015c9edf958383a367"),
+        (4, 4, 500, 3): ("0x1.61f819ce3be7ep+0", "0x1.b13c9ac2417d8p-1", 0, 1500,
+                         "59fc0b4ee1952393f529a75585cfe0b3c9b9057f4bb8c4028f6013ad4afbef8b"),
+        (2, 10, 200, 2): ("0x1.745b72abc4a00p+0", "0x1.f0a3e1f8be612p-1", 1, 400,
+                          "af2d6c3345f0de673d9e759098995427da1f2726c3af146aa68e1748991d0aca"),
+    }
+    # one warm-started run: depth 6, seed 3, budget 400, one built-in restart
+    WARM_START = ("0x1.7295a99c379f2p+0", "0x1.7779f6f6b2321p-1", 1, 800,
+                  "bd072f503ea656d3efd3ddff047cf9c25e86b42b5149b046e52c44697627b654")
+
+    @staticmethod
+    def _trajectory(rep, spec):
+        digest = hashlib.sha256(leaf_array(rep.best_phi, spec).tobytes()).hexdigest()
+        return (rep.objective.hex(), rep.residual.hex(), rep.best_restart,
+                rep.iterations, digest)
+
+    def test_trajectories_pinned_across_trees(self):
+        for (m, depth, budget, restarts), want in self.TRAJECTORIES.items():
+            spec = TreeSpec(m, depth)
+            rep = local_search(PARAMS, spec, seed=0, budget=budget, restarts=restarts)
+            assert self._trajectory(rep, spec) == want, (m, depth, budget)
+        spec = TreeSpec(2, 6)
+        coarse = np.repeat([4.0, 2.0, 1.0, 1.0, 0.5, 0.5, 0.25, 0.0], 8)
+        rep = local_search(PARAMS, spec, seed=3, budget=400, restarts=1,
+                           extra_seeds=[coarse])
+        assert self._trajectory(rep, spec) == self.WARM_START
 
     def test_depth_ten_seeds_stay_finite(self):
         # the geometric seed shape once overflowed to inf at depth >= 10
