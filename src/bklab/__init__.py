@@ -31,7 +31,6 @@ from .dyadic import (
     ROOT,
     ExcessSet,
     Linearization,
-    SlackRecord,
     StepFunction,
     TreeElement,
     TreeSpec,

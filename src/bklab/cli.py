@@ -27,11 +27,35 @@ from .transforms import eigen_residual, g_phi, gap_rows_to_csv, verify_suite
 Q_MIN = 1e-3
 Q_MAX = 1.0 - 1e-3
 
-_CONFIG_KEYS = frozenset({
-    "q", "f", "h", "L", "big-l", "m", "N", "depths", "seed", "budget",
-    "restarts", "grid", "refine", "n", "beta-points", "beta-lo", "beta-hi",
-    "suite", "phi", "out", "format", "csv",
-})
+# every value flag: name -> (type, help). The config file takes the same
+# names as keys, plus "big-l" for L.
+_FLAGS = {
+    "q": (float, f"exponent q, in [{Q_MIN}, {Q_MAX}]"),
+    "f": (float, "mass f = integral of phi"),
+    "h": (float, "q-mass h = integral of phi^q"),
+    "L": (float, "floor L >= f"),
+    "phi": (str, "step-function JSON file"),
+    "N": (int, "tree depth"),
+    "m": (int, "tree arity"),
+    "refine": (int, "grid depth at which the rearrangement packs its support"),
+    "suite": (str, "check suite: inequalities"),
+    "n": (int, "number of random functions"),
+    "seed": (int, "random seed"),
+    "beta-points": (int, "beta values per family"),
+    "beta-lo": (float, "smallest beta"),
+    "beta-hi": (float, "largest beta"),
+    "csv": (str, "also write per-check rows to this CSV file"),
+    "budget": (int, "proposals per restart"),
+    "restarts": (int, "search restarts"),
+    "grid": (int, "levels per cell for --oracle"),
+    "depths": (str, "comma-separated depths, e.g. 4,6,8"),
+    "format": (str, "report format"),
+    "out": (str, "output path (default stdout)"),
+}
+
+_REQUIRED = object()
+_PARAMS = {"q": _REQUIRED, "f": _REQUIRED, "h": _REQUIRED, "L": _REQUIRED}
+_SEARCH = {"seed": 0, "budget": 20000, "restarts": 16}
 
 _MAX_INFER_DEPTH = 24
 
@@ -88,7 +112,7 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# -- config file and flag resolution ------------------------------------
+# -- config file and inputs ---------------------------------------------
 
 
 def load_config(path: str) -> dict:
@@ -105,50 +129,30 @@ def load_config(path: str) -> dict:
                 )
             key, val = line.split("=", 1)
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _FLAGS and key != "big-l":
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
             cfg[key] = val.strip()
     return cfg
 
 
-def _resolve(args, cfg, name, cast, default=None, required=False):
-    attr = name.replace("-", "_")
-    val = getattr(args, attr, None)
-    if val is None:
-        keys = (name, "big-l") if name == "L" else (name,)
-        for key in keys:
-            if key in cfg:
-                try:
-                    val = cast(cfg[key])
-                except ValueError:
-                    raise UsageError(
-                        f"config key {key}: cannot parse {cfg[key]!r}"
-                    ) from None
-                break
-    if val is None:
-        if required:
-            raise UsageError(f"missing required flag --{name}")
-        val = default
-    return val
+def _from_config(cfg, name):
+    for key in (name, "big-l") if name == "L" else (name,):
+        if key in cfg:
+            try:
+                return _FLAGS[name][0](cfg[key])
+            except ValueError:
+                raise UsageError(
+                    f"config key {key}: cannot parse {cfg[key]!r}"
+                ) from None
+    return None
 
 
-def _resolve_q(args, cfg) -> float:
-    q = _resolve(args, cfg, "q", float, required=True)
+def _check_q(q: float) -> None:
     if not (Q_MIN <= q <= Q_MAX):
         raise DomainError(f"--q must lie in [{Q_MIN}, {Q_MAX}], got {q}")
-    return q
 
 
-def _resolve_params(args, cfg) -> BellmanParams:
-    q = _resolve_q(args, cfg)
-    f = _resolve(args, cfg, "f", float, required=True)
-    h = _resolve(args, cfg, "h", float, required=True)
-    L = _resolve(args, cfg, "L", float, required=True)
-    return BellmanParams(q=q, f=f, h=h, L=L)
-
-
-def _load_phi(args, cfg):
-    path = _resolve(args, cfg, "phi", str, required=True)
+def _load_phi(path):
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -181,8 +185,8 @@ def _infer_spec(phi, m, given_depth) -> TreeSpec:
 # -- subcommand handlers ------------------------------------------------
 
 
-def _cmd_bellman(args, cfg):
-    p = _resolve_params(args, cfg)
+def _cmd_bellman(args):
+    p = BellmanParams(args.q, args.f, args.h, args.L)
     report = {
         "params": {"q": p.q, "f": p.f, "h": p.h, "L": p.L},
         "value": p.value,
@@ -193,12 +197,11 @@ def _cmd_bellman(args, cfg):
         "mu": p.mu,
     }
     emit_report(report, "json", args.out)
-    return 0
 
 
-def _cmd_maximal(args, cfg):
-    phi, m = _load_phi(args, cfg)
-    spec = _infer_spec(phi, m, _resolve(args, cfg, "N", int))
+def _cmd_maximal(args):
+    phi, m = _load_phi(args.phi)
+    spec = _infer_spec(phi, m, args.N)
     mx = maximal_function(phi, spec)
     report = {
         "m": spec.m,
@@ -207,12 +210,11 @@ def _cmd_maximal(args, cfg):
         "maximal": mx.to_json_obj(spec.m),
     }
     emit_report(report, "json", args.out)
-    return 0
 
 
-def _cmd_linearize(args, cfg):
-    phi, m = _load_phi(args, cfg)
-    spec = _infer_spec(phi, m, _resolve(args, cfg, "N", int))
+def _cmd_linearize(args):
+    phi, m = _load_phi(args.phi)
+    spec = _infer_spec(phi, m, args.N)
     lin = linearize(phi, spec)
     elements = []
     for el in lin.elements:
@@ -231,16 +233,12 @@ def _cmd_linearize(args, cfg):
         })
     report = {"m": spec.m, "N": spec.depth, "elements": elements}
     emit_report(report, "json", args.out)
-    return 0
 
 
-def _cmd_gphi(args, cfg):
-    phi, m = _load_phi(args, cfg)
-    spec = _infer_spec(phi, m, _resolve(args, cfg, "N", int))
-    q = _resolve_q(args, cfg)
-    L = _resolve(args, cfg, "L", float, required=True)
-    refine = _resolve(args, cfg, "refine", int)
-    g, rec = g_phi(phi, L, q, spec, refine=refine)
+def _cmd_gphi(args):
+    phi, m = _load_phi(args.phi)
+    spec = _infer_spec(phi, m, args.N)
+    g, rec = g_phi(phi, args.L, args.q, spec, refine=args.refine)
     entries = []
     for ent in rec.entries:
         entries.append({
@@ -262,32 +260,22 @@ def _cmd_gphi(args, cfg):
         "g": g.to_json_obj(spec.m),
     }
     emit_report(report, "json", args.out)
-    return 0
 
 
-def _cmd_verify(args, cfg):
-    suite = _resolve(args, cfg, "suite", str, default="inequalities")
-    if suite != "inequalities":
-        raise UsageError(f"unknown suite {suite!r}, choose from: inequalities")
-    q = _resolve_q(args, cfg)
-    m = _resolve(args, cfg, "m", int, default=2)
-    depth = _resolve(args, cfg, "N", int, default=6)
-    n = _resolve(args, cfg, "n", int, default=100)
-    seed = _resolve(args, cfg, "seed", int, default=0)
-    n_beta = _resolve(args, cfg, "beta-points", int, default=50)
-    beta_lo = _resolve(args, cfg, "beta-lo", float, default=1e-3)
-    beta_hi = _resolve(args, cfg, "beta-hi", float, default=1e3)
-    csv_path = _resolve(args, cfg, "csv", str)
-    spec = TreeSpec(m, depth)
-    rows = [] if csv_path else None
-    rep = verify_suite(n, spec, q, n_beta=n_beta, beta_lo=beta_lo,
-                       beta_hi=beta_hi, seed=seed, collect=rows)
+def _cmd_verify(args):
+    if args.suite != "inequalities":
+        raise UsageError(f"unknown suite {args.suite!r}, choose from: inequalities")
+    spec = TreeSpec(args.m, args.N)
+    rows = [] if args.csv else None
+    rep = verify_suite(args.n, spec, args.q, n_beta=args.beta_points,
+                       beta_lo=args.beta_lo, beta_hi=args.beta_hi,
+                       seed=args.seed, collect=rows)
     report = {
-        "suite": suite,
-        "m": m,
-        "N": depth,
-        "q": q,
-        "seed": seed,
+        "suite": args.suite,
+        "m": args.m,
+        "N": args.N,
+        "q": args.q,
+        "seed": args.seed,
         "n_phi": rep.n_phi,
         "n_checks": rep.n_checks,
         "n_violations": rep.n_violations,
@@ -296,56 +284,42 @@ def _cmd_verify(args, cfg):
         "elapsed_seconds": rep.elapsed_seconds,
     }
     emit_report(report, "json", args.out)
-    if csv_path:
-        with open(csv_path, "w") as fh:
+    if args.csv:
+        with open(args.csv, "w") as fh:
             fh.write(gap_rows_to_csv(rows))
-    return 0
 
 
-def _cmd_search(args, cfg):
-    p = _resolve_params(args, cfg)
-    m = _resolve(args, cfg, "m", int, default=2)
-    depth = _resolve(args, cfg, "N", int, required=True)
-    spec = TreeSpec(m, depth)
+def _cmd_search(args):
+    p = BellmanParams(args.q, args.f, args.h, args.L)
+    spec = TreeSpec(args.m, args.N)
     if args.oracle:
-        grid = _resolve(args, cfg, "grid", int, default=8)
-        rep = brute_force_oracle(p, spec, grid=grid)
+        rep = brute_force_oracle(p, spec, grid=args.grid)
     else:
-        seed = _resolve(args, cfg, "seed", int, default=0)
-        budget = _resolve(args, cfg, "budget", int, default=20000)
-        restarts = _resolve(args, cfg, "restarts", int, default=16)
-        rep = local_search(p, spec, seed=seed, budget=budget, restarts=restarts)
+        rep = local_search(p, spec, seed=args.seed, budget=args.budget,
+                           restarts=args.restarts)
     emit_report(rep.to_json_obj(), "json", args.out)
-    return 0
 
 
-def _cmd_study(args, cfg):
-    p = _resolve_params(args, cfg)
-    m = _resolve(args, cfg, "m", int, default=2)
-    raw = _resolve(args, cfg, "depths", str, required=True)
+def _cmd_study(args):
+    p = BellmanParams(args.q, args.f, args.h, args.L)
     try:
-        depths = [int(part) for part in raw.replace(" ", "").split(",") if part]
+        depths = [int(part) for part in args.depths.replace(" ", "").split(",") if part]
     except ValueError:
-        raise UsageError(f"--depths: cannot parse {raw!r}") from None
+        raise UsageError(f"--depths: cannot parse {args.depths!r}") from None
     if not depths:
         raise UsageError("--depths: need at least one depth")
-    seed = _resolve(args, cfg, "seed", int, default=0)
-    budget = _resolve(args, cfg, "budget", int, default=20000)
-    restarts = _resolve(args, cfg, "restarts", int, default=16)
-    fmt = _resolve(args, cfg, "format", str, default="json")
-    reports = convergence_study(p, depths, seed=seed, budget=budget,
-                                restarts=restarts, m=m)
-    if fmt == "csv":
+    reports = convergence_study(p, depths, seed=args.seed, budget=args.budget,
+                                restarts=args.restarts, m=args.m)
+    if args.format == "csv":
         emit_report(study_to_csv(reports), "csv", args.out)
     else:
-        emit_report([r.to_json_obj() for r in reports], fmt, args.out)
-    return 0
+        emit_report([r.to_json_obj() for r in reports], args.format, args.out)
 
 
-def _cmd_residual(args, cfg):
-    phi, m = _load_phi(args, cfg)
-    spec = _infer_spec(phi, m, _resolve(args, cfg, "N", int))
-    p = _resolve_params(args, cfg)
+def _cmd_residual(args):
+    phi, m = _load_phi(args.phi)
+    spec = _infer_spec(phi, m, args.N)
+    p = BellmanParams(args.q, args.f, args.h, args.L)
     res = eigen_residual(phi, p, spec)
     report = {
         "m": spec.m,
@@ -358,99 +332,71 @@ def _cmd_residual(args, cfg):
         "tau": p.tau,
     }
     emit_report(report, "json", args.out)
-    return 0
 
 
 # -- argument plumbing --------------------------------------------------
 
+# subcommand -> (handler, help, {flag: default or _REQUIRED}); every
+# subcommand also takes --config and --out
+_COMMANDS = {
+    "bellman": (_cmd_bellman, "analytic value, growth constant, and thresholds",
+                _PARAMS),
+    "maximal": (_cmd_maximal, "exact maximal function of a step function",
+                {"phi": _REQUIRED, "N": None}),
+    "linearize": (_cmd_linearize, "stopping elements, weights, and level sets",
+                  {"phi": _REQUIRED, "N": None}),
+    "gphi": (_cmd_gphi, "two-valued rearrangement with the same averages",
+             {"phi": _REQUIRED, "N": None, "q": _REQUIRED, "L": _REQUIRED,
+              "refine": None}),
+    "verify": (_cmd_verify, "fuzz the inequality family on random functions",
+               {"suite": "inequalities", "q": _REQUIRED, "m": 2, "N": 6, "n": 100,
+                "seed": 0, "beta-points": 50, "beta-lo": 1e-3, "beta-hi": 1e3,
+                "csv": None}),
+    "search": (_cmd_search, "maximize the truncated objective at fixed moments",
+               {**_PARAMS, "m": 2, "N": _REQUIRED, **_SEARCH, "grid": 8}),
+    "study": (_cmd_study, "search across depths and track gap and residual",
+              {**_PARAMS, "m": 2, "depths": _REQUIRED, **_SEARCH, "format": "json"}),
+    "residual": (_cmd_residual, "approximate-eigenfunction defect of a function",
+                 {"phi": _REQUIRED, "N": None, **_PARAMS}),
+}
+
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value file supplying flag defaults")
-    common.add_argument("--out", help="output path (default stdout)")
-
     parser = _Parser(prog="bklab", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    def add(name, handler, helptext):
-        p = sub.add_parser(name, parents=[common], help=helptext)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("bellman", _cmd_bellman, "analytic value, growth constant, and thresholds")
-    for flag in ("--q", "--f", "--h"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--L", "--big-l", dest="L", type=float)
-
-    p = add("maximal", _cmd_maximal, "exact maximal function of a step function")
-    p.add_argument("--phi", help="step-function JSON file")
-    p.add_argument("--N", type=int, help="tree depth (inferred if omitted)")
-
-    p = add("linearize", _cmd_linearize, "stopping elements, weights, and level sets")
-    p.add_argument("--phi", help="step-function JSON file")
-    p.add_argument("--N", type=int)
-
-    p = add("gphi", _cmd_gphi, "two-valued rearrangement with the same averages")
-    p.add_argument("--phi", help="step-function JSON file")
-    p.add_argument("--N", type=int)
-    p.add_argument("--q", type=float)
-    p.add_argument("--L", "--big-l", dest="L", type=float)
-    p.add_argument("--refine", type=int)
-
-    p = add("verify", _cmd_verify, "fuzz the inequality family on random functions")
-    p.add_argument("--suite")
-    p.add_argument("--q", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--n", type=int, help="number of random functions")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--beta-points", type=int)
-    p.add_argument("--beta-lo", type=float)
-    p.add_argument("--beta-hi", type=float)
-    p.add_argument("--csv", help="also write per-check rows to this CSV file")
-
-    p = add("search", _cmd_search, "maximize the truncated objective at fixed moments")
-    for flag in ("--q", "--f", "--h"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--L", "--big-l", dest="L", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--oracle", action="store_true",
-                   help="exhaustive quantized enumeration instead of local search")
-    p.add_argument("--grid", type=int, help="levels per cell for --oracle")
-
-    p = add("study", _cmd_study, "search across depths and track gap and residual")
-    for flag in ("--q", "--f", "--h"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--L", "--big-l", dest="L", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--depths", help="comma-separated depths, e.g. 4,6,8")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--format", choices=("json", "csv"))
-
-    p = add("residual", _cmd_residual, "approximate-eigenfunction defect of a function")
-    p.add_argument("--phi", help="step-function JSON file")
-    p.add_argument("--N", type=int)
-    for flag in ("--q", "--f", "--h"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--L", "--big-l", dest="L", type=float)
-
+    for command, (_, helptext, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=helptext)
+        p.add_argument("--config", help="key = value file supplying flag defaults")
+        for name in (*flags, "out"):
+            cast, flaghelp = _FLAGS[name]
+            names = ("--L", "--big-l") if name == "L" else ("--" + name,)
+            choices = ("json", "csv") if name == "format" else None
+            p.add_argument(*names, dest=name.replace("-", "_"), type=cast,
+                           choices=choices, help=flaghelp)
+        if command == "search":
+            p.add_argument("--oracle", action="store_true",
+                           help="exhaustive quantized enumeration instead of local search")
     return parser
 
 
 def _dispatch(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "handler", None) is None:
-        raise UsageError("missing subcommand, choose from: bellman, maximal, "
-                         "linearize, gphi, verify, search, study, residual")
+    args = _build_parser().parse_args(argv)
+    if args.command is None:
+        raise UsageError("missing subcommand, choose from: " + ", ".join(_COMMANDS))
+    handler, _, flags = _COMMANDS[args.command]
     cfg = load_config(args.config) if args.config else {}
-    return args.handler(args, cfg)
+    # each flag once: the command line, else the config file, else the default
+    for name in (*flags, "out"):
+        attr = name.replace("-", "_")
+        if getattr(args, attr) is None:
+            val = _from_config(cfg, name)
+            if val is None and flags.get(name) is _REQUIRED:
+                raise UsageError(f"missing required flag --{name}")
+            setattr(args, attr, flags.get(name) if val is None else val)
+    if "q" in flags:
+        _check_q(args.q)
+    handler(args)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -207,9 +207,6 @@ class StepFunction:
         """Promote float values to exact Fractions (floats are dyadic rationals)."""
         return StepFunction(self.breakpoints, [Fraction(v) for v in self.values])
 
-    def to_float(self) -> "StepFunction":
-        return StepFunction(self.breakpoints, [float(v) for v in self.values])
-
     def value_at(self, x) -> Value:
         x = Fraction(x)
         if not (0 <= x < 1):
@@ -531,7 +528,10 @@ def excess_set(phi: StepFunction, L, spec: TreeSpec, q: float) -> ExcessSet:
 
 
 @dataclass(frozen=True)
-class SlackRecord:
+class InequalityGap:
+    """lhs <= rhs at beta: the inequality's parameter, the level or the union measure."""
+
+    beta: float
     lhs: float
     rhs: float
 
@@ -540,13 +540,13 @@ class SlackRecord:
         return self.rhs - self.lhs
 
 
-def weak_type_gap(phi: StepFunction, lam: float, spec: TreeSpec) -> SlackRecord:
+def weak_type_gap(phi: StepFunction, lam: float, spec: TreeSpec) -> InequalityGap:
     """mu({M phi > lam}) <= (1/lam) integral of phi over {M phi > lam}."""
     levels = tree_averages(phi, spec)
     return _weak_type_slack(_running_max(levels, spec.m)[0], levels[-1], lam, spec)
 
 
-def _weak_type_slack(mvals, leaf_vals, lam, spec: TreeSpec) -> SlackRecord:
+def _weak_type_slack(mvals, leaf_vals, lam, spec: TreeSpec) -> InequalityGap:
     """weak_type_gap from the leaf values of M phi and of phi."""
     if lam <= 0:
         raise DomainError(f"weak-type level must be positive, got {lam}")
@@ -554,16 +554,16 @@ def _weak_type_slack(mvals, leaf_vals, lam, spec: TreeSpec) -> SlackRecord:
     idx = [i for i in range(spec.n_leaves) if mvals[i] > lam]
     lhs = w * len(idx)
     rhs = sum(float(leaf_vals[i]) for i in idx) * w / float(lam)
-    return SlackRecord(lhs=lhs, rhs=rhs)
+    return InequalityGap(beta=lam, lhs=lhs, rhs=rhs)
 
 
-def kolmogorov_gap(phi: StepFunction, q: float, leaves, spec: TreeSpec) -> SlackRecord:
+def kolmogorov_gap(phi: StepFunction, q: float, leaves, spec: TreeSpec) -> InequalityGap:
     """integral_E (M phi)^q <= (1-q)^-1 mu(E)^(1-q) ||phi||_1^q for any leaf union E."""
     return _kolmogorov_slack(_running_max(tree_averages(phi, spec), spec.m)[0],
                              float(phi.integral()), q, leaves, spec)
 
 
-def _kolmogorov_slack(mvals, norm1: float, q: float, leaves, spec: TreeSpec) -> SlackRecord:
+def _kolmogorov_slack(mvals, norm1: float, q: float, leaves, spec: TreeSpec) -> InequalityGap:
     """kolmogorov_gap from the leaf values of M phi and norm1 = ||phi||_1."""
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0, 1), got {q}")
@@ -574,4 +574,4 @@ def _kolmogorov_slack(mvals, norm1: float, q: float, leaves, spec: TreeSpec) -> 
     lhs = sum(float(mvals[i]) ** q for i in leaves) * w
     mu_e = w * len(leaves)
     rhs = mu_e ** (1.0 - q) * norm1 ** q / (1.0 - q)
-    return SlackRecord(lhs=lhs, rhs=rhs)
+    return InequalityGap(beta=mu_e, lhs=lhs, rhs=rhs)

@@ -276,15 +276,7 @@ def maximize_r_k(k: float, q: float, f: float, h: float) -> tuple[float, float]:
 
 def bellman_value(q: float, f: float, h: float, L: float) -> float:
     """B(f, h, L) = h * omega(((1-q) L^q + q L^(q-1) f) / h) for L >= f."""
-    _check_q(q)
-    if f <= 0.0:
-        raise DomainError(f"bellman_value needs f > 0, got {f}")
-    if not (0.0 < h <= f**q * (1.0 + 1e-12)):
-        raise DomainError(f"bellman_value needs 0 < h <= f^q = {f**q}, got h={h}")
-    if L < f:
-        raise DomainError(f"bellman_value needs L >= f, got L={L} < f={f}")
-    z = ((1.0 - q) * L**q + q * L ** (q - 1.0) * f) / h
-    return h * omega_q(z, q)
+    return BellmanParams(q=q, f=f, h=h, L=L).value
 
 
 @dataclass(frozen=True)

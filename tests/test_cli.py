@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -205,6 +206,57 @@ class TestConfigFile:
     def test_missing_config_file_is_io_error(self, capsys):
         code, _, _ = run_cli(capsys, "bellman", "--config", "/no/such.cfg")
         assert code == 4
+
+    def test_out_key_writes_file(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"q = 0.5\nf = 1\nh = 0.8\nL = 1.2\nout = {path}\n")
+        code, out, _ = run_cli(capsys, "bellman", "--config", str(cfg))
+        assert code == 0
+        assert out == ""
+        want = BellmanParams(q=0.5, f=1.0, h=0.8, L=1.2).value
+        assert json.loads(path.read_text())["value"] == want
+
+    def test_out_flag_overrides_out_key(self, capsys, tmp_path):
+        in_file, on_line = tmp_path / "file.json", tmp_path / "line.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"q = 0.5\nf = 1\nh = 0.8\nL = 1.2\nout = {in_file}\n")
+        code, out, _ = run_cli(capsys, "bellman", "--config", str(cfg),
+                               "--out", str(on_line))
+        assert code == 0
+        assert out == "" and not in_file.exists()
+        assert json.loads(on_line.read_text())["params"]["L"] == 1.2
+
+    # every flag of the command, each set away from its default where it has one
+    @pytest.mark.parametrize("command, flags", [
+        ("bellman", {"q": "0.5", "f": "1", "h": "0.8", "L": "1.2"}),
+        ("search", {"q": "0.5", "f": "1", "h": "0.8", "L": "1.2", "m": "3",
+                    "N": "3", "seed": "4", "budget": "200", "restarts": "2",
+                    "grid": "4"}),
+        ("verify", {"suite": "inequalities", "q": "0.4", "m": "3", "N": "3",
+                    "n": "2", "seed": "4", "beta-points": "5", "beta-lo": "0.01",
+                    "beta-hi": "100", "csv": "rows.csv"}),
+        ("study", {"q": "0.5", "f": "1", "h": "0.8", "L": "1.2", "m": "3",
+                   "depths": "1,2", "seed": "4", "budget": "200", "restarts": "2",
+                   "format": "csv"}),
+    ])
+    def test_file_and_flags_interchangeable(self, tmp_path, command, flags):
+        def run(side):
+            named = dict(flags, out=str(tmp_path / f"{side}.out"))
+            if "csv" in named:
+                named["csv"] = str(tmp_path / f"{side}.csv")
+            if side == "file":
+                cfg = tmp_path / "run.cfg"
+                cfg.write_text("".join(f"{k} = {v}\n" for k, v in named.items()))
+                argv = ["--config", str(cfg)]
+            else:
+                argv = [x for k, v in named.items() for x in ("--" + k, v)]
+            assert main([command, *argv]) == 0
+            text = (tmp_path / f"{side}.out").read_bytes()
+            rows = (tmp_path / f"{side}.csv").read_bytes() if "csv" in named else b""
+            return re.sub(rb'"elapsed_seconds":[^,}]*,?', b"", text), rows
+
+        assert run("file") == run("flags")
 
 
 class TestFileSubcommands:
