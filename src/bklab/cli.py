@@ -53,6 +53,9 @@ _FLAGS = {
     "out": (str, "output path (default stdout)"),
 }
 
+# flags with a closed set of values, checked on the command line and in the file
+_CHOICES = {"format": ("json", "csv")}
+
 _REQUIRED = object()
 _PARAMS = {"q": _REQUIRED, "f": _REQUIRED, "h": _REQUIRED, "L": _REQUIRED}
 _SEARCH = {"seed": 0, "budget": 20000, "restarts": 16}
@@ -139,11 +142,15 @@ def _from_config(cfg, name):
     for key in (name, "big-l") if name == "L" else (name,):
         if key in cfg:
             try:
-                return _FLAGS[name][0](cfg[key])
+                val = _FLAGS[name][0](cfg[key])
             except ValueError:
                 raise UsageError(
                     f"config key {key}: cannot parse {cfg[key]!r}"
                 ) from None
+            if name in _CHOICES and val not in _CHOICES[name]:
+                raise UsageError(f"config key {key}: invalid choice {val!r} "
+                                 f"(choose from {', '.join(_CHOICES[name])})")
+            return val
     return None
 
 
@@ -370,9 +377,8 @@ def _build_parser() -> _Parser:
         for name in (*flags, "out"):
             cast, flaghelp = _FLAGS[name]
             names = ("--L", "--big-l") if name == "L" else ("--" + name,)
-            choices = ("json", "csv") if name == "format" else None
             p.add_argument(*names, dest=name.replace("-", "_"), type=cast,
-                           choices=choices, help=flaghelp)
+                           choices=_CHOICES.get(name), help=flaghelp)
         if command == "search":
             p.add_argument("--oracle", action="store_true",
                            help="exhaustive quantized enumeration instead of local search")

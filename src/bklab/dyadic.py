@@ -27,6 +27,7 @@ from fractions import Fraction
 from numbers import Integral
 
 from .errors import DomainError, NotTGoodError
+from .kernel import _check_q
 
 Value = float | Fraction
 
@@ -565,8 +566,7 @@ def kolmogorov_gap(phi: StepFunction, q: float, leaves, spec: TreeSpec) -> Inequ
 
 def _kolmogorov_slack(mvals, norm1: float, q: float, leaves, spec: TreeSpec) -> InequalityGap:
     """kolmogorov_gap from the leaf values of M phi and norm1 = ||phi||_1."""
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_q(q)
     leaves = sorted(set(leaves))
     if leaves and not (0 <= leaves[0] and leaves[-1] < spec.n_leaves):
         raise DomainError("leaf indices out of range")

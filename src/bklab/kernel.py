@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from .errors import ConvergenceError, DomainError
 
 _BISECT_MAX_ITER = 200
-_BISECT_REL_TOL = 1e-12
 
 
 def _check_q(q: float) -> None:
@@ -37,8 +36,13 @@ def _check_q(q: float) -> None:
         raise DomainError(f"q must lie in (0, 1), got {q}")
 
 
-def _bracket(fn, lo: float, hi: float, *, rel_tol: float) -> tuple[float, float]:
-    """Shrink [lo, hi] around a root of fn, keeping fn(lo) <= 0 <= fn(hi)."""
+def _bracket(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Shrink [lo, hi] around a root of fn, keeping fn(lo) <= 0 <= fn(hi).
+
+    Runs to float exhaustion: omega's equation has a curvature signal of
+    order 1e-12 on its near-linear stretches at large z, which a relative
+    tolerance would drown.
+    """
     flo = fn(lo)
     fhi = fn(hi)
     if flo > 0.0 or fhi < 0.0:
@@ -60,14 +64,12 @@ def _bracket(fn, lo: float, hi: float, *, rel_tol: float) -> tuple[float, float]
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * max(1.0, abs(lo)):
-            break
     return lo, hi
 
 
-def _bisect(fn, lo: float, hi: float, *, rel_tol: float = _BISECT_REL_TOL) -> float:
+def _bisect(fn, lo: float, hi: float) -> float:
     """Root of fn on [lo, hi] assuming fn(lo) <= 0 <= fn(hi)."""
-    lo, hi = _bracket(fn, lo, hi, rel_tol=rel_tol)
+    lo, hi = _bracket(fn, lo, hi)
     return 0.5 * (lo + hi)
 
 
@@ -96,10 +98,7 @@ def omega_q(z: float, q: float) -> float:
     def resid(y: float) -> float:
         return (1.0 - q) * y + q * y ** (1.0 - 1.0 / q) - z
 
-    # Full-precision bisection: near-linear stretches at large z have a
-    # curvature signal of order 1e-12, so a relative tolerance would drown it.
-    root = _bisect(resid, 1.0, z / (1.0 - q) + 1.0, rel_tol=0.0)
-    return root
+    return _bisect(resid, 1.0, z / (1.0 - q) + 1.0)
 
 
 def u_q(x: float, q: float) -> float:
@@ -140,8 +139,7 @@ def chi_lambda(lam: float, k: float, q: float) -> float:
 
     span = 1.0 / k - 1.0
     eps = 1e-13 * span
-    # rel_tol=0: iterate to float exhaustion; the equation is steep near 1/k
-    root = _bisect(resid, 1.0 + eps, 1.0 / k - eps, rel_tol=0.0)
+    root = _bisect(resid, 1.0 + eps, 1.0 / k - eps)
     rel = abs(resid(root)) / (lam * h_q(root, q))
     if rel > 1e-10:
         raise ConvergenceError(f"chi_lambda residual {rel} above tolerance at x={root}")
@@ -216,11 +214,11 @@ def rho_interval(k: float, q: float, f: float, h: float) -> tuple[float, float]:
     if ell_k(0.0, k, q, f) >= h:
         rho0 = 0.0
     else:
-        _, rho0 = _bracket(lambda b: ell_k(b, k, q, f) - h, 0.0, k * f, rel_tol=0.0)
+        _, rho0 = _bracket(lambda b: ell_k(b, k, q, f) - h, 0.0, k * f)
     if ell_k(f, k, q, f) >= h:
         rho1 = f
     else:
-        rho1, _ = _bracket(lambda b: h - ell_k(b, k, q, f), k * f, f, rel_tol=0.0)
+        rho1, _ = _bracket(lambda b: h - ell_k(b, k, q, f), k * f, f)
     return rho0, rho1
 
 

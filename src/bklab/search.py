@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -63,8 +63,7 @@ def leaf_objective(values, L: float, q: float, m: int, depth: int):
     return (mx**q).mean(axis=-1)
 
 
-def project_to_moments(values, f: float, h: float, q: float, *,
-                       tol: float = 1e-10) -> np.ndarray:
+def project_to_moments(values, f: float, h: float, q: float) -> np.ndarray:
     """Rescale a nonnegative array as a*v**b so both moments match (f, h).
 
     The exponent b is found by bisection on the q-mass after the mass has
@@ -136,9 +135,9 @@ def project_to_moments(values, f: float, h: float, q: float, *,
     out = np.zeros(n)
     out[pos] = np.exp(la + b * u)
     out *= f / out.mean()
-    if abs(out.mean() - f) > tol * max(1.0, f):
+    if abs(out.mean() - f) > 1e-10 * max(1.0, f):
         raise InfeasibleStartError("mass repair did not converge")
-    if abs((out**q).mean() - h) > tol * max(1.0, h):
+    if abs((out**q).mean() - h) > 1e-10 * max(1.0, h):
         raise InfeasibleStartError("q-mass repair did not converge")
     return out
 
@@ -167,26 +166,11 @@ class SearchReport:
         return self.gap / self.analytic_bound
 
     def to_json_obj(self) -> dict:
-        p = self.params
-        return {
-            "params": {"q": p.q, "f": p.f, "h": p.h, "L": p.L},
-            "m": self.m,
-            "depth": self.depth,
-            "objective": self.objective,
-            "analytic_bound": self.analytic_bound,
-            "gap": self.gap,
-            "gap_fraction": self.gap_fraction,
-            "residual": self.residual,
-            "excess_k": self.excess_k,
-            "excess_a": self.excess_a,
-            "excess_b": self.excess_b,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "best_restart": self.best_restart,
-            "elapsed_seconds": self.elapsed_seconds,
-            "best_phi": self.best_phi.to_json_obj(self.m),
-        }
+        obj = {fld.name: getattr(self, fld.name) for fld in fields(self)}
+        obj["params"] = asdict(self.params)
+        obj["gap_fraction"] = self.gap_fraction
+        obj["best_phi"] = self.best_phi.to_json_obj(self.m)
+        return obj
 
 
 def _finish_report(vals, params, spec, iterations, seed, restarts,
@@ -630,14 +614,13 @@ _MAX_ORACLE_GRID = 12
 _MAX_ORACLE_PATTERNS = 30_000_000
 
 
-def brute_force_oracle(params: BellmanParams, spec: TreeSpec, grid: int = 8,
-                       tol: float | None = None) -> SearchReport:
+def brute_force_oracle(params: BellmanParams, spec: TreeSpec, grid: int = 8) -> SearchReport:
     """Exhaustive search over quantized value patterns at toy resolutions.
 
     Every pattern over a fixed ratio palette is scaled to mass f; patterns
-    whose q-mass lands within tol of h are evaluated and the best is
-    moment-repaired exactly and reported.  Guards refuse sizes where the
-    enumeration count explodes.
+    whose q-mass lands within the band f^q / (2 grid) of h are evaluated and
+    the best is moment-repaired exactly and reported.  Guards refuse sizes
+    where the enumeration count explodes.
     """
     n = spec.n_leaves
     if n > _MAX_ORACLE_CELLS:
@@ -653,8 +636,7 @@ def brute_force_oracle(params: BellmanParams, spec: TreeSpec, grid: int = 8,
         )
     _require_feasible(params, n)
     f, h, q, L = params.f, params.h, params.q, params.L
-    if tol is None:
-        tol = f**q / (2.0 * grid)
+    band = f**q / (2.0 * grid)
     t0 = time.perf_counter()
 
     if h >= f**q * (1.0 - 1e-12):
@@ -691,7 +673,7 @@ def brute_force_oracle(params: BellmanParams, spec: TreeSpec, grid: int = 8,
         a = np.zeros_like(means)
         a[ok] = f / means[ok]
         qmass = a**q * (pat**q).mean(axis=1)
-        feas = ok & (np.abs(qmass - h) <= tol)
+        feas = ok & (np.abs(qmass - h) <= band)
         if not feas.any():
             continue
         scaled = a[feas, None] * pat[feas]
@@ -702,7 +684,7 @@ def brute_force_oracle(params: BellmanParams, spec: TreeSpec, grid: int = 8,
             best_vals = scaled[j].copy()
     if best_vals is None:
         raise InfeasibleStartError(
-            f"no quantized pattern reaches the q-mass band of width {tol}"
+            f"no quantized pattern reaches the q-mass band of width {band}"
         )
     vals = project_to_moments(best_vals, f, h, q)
     return _finish_report(vals, params, spec, combos, 0, 1, 0, t0)

@@ -51,7 +51,7 @@ from .errors import (
     FamilyNotMaximalError,
     RefinementTooCoarseError,
 )
-from .kernel import BellmanParams, omega_q
+from .kernel import BellmanParams, _check_q, omega_q
 
 # -- objective and residual ---------------------------------------------
 
@@ -190,8 +190,7 @@ def _gap_sweep(kind, phi, spec, q, family, betas, lin=None, floats=None, norm1=N
     for beta in betas:
         if beta <= 0:
             raise DomainError(f"beta must be positive, got {beta}")
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_q(q)
     maximal, complement = _GAP_KINDS[kind]
     family = tuple(family)
     lin = lin if lin is not None else linearize(phi, spec)
@@ -295,8 +294,7 @@ def g_phi(phi: StepFunction, L, q: float, spec: TreeSpec,
     M g >= M phi everywhere; and the support never exceeds the measure of
     {phi > 0} within the set, so g vanishes at least where phi does.
     """
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_q(q)
     if refine is None:
         refine = default_refine(spec)
     if refine < 0:
@@ -306,65 +304,54 @@ def g_phi(phi: StepFunction, L, q: float, spec: TreeSpec,
     work = phi.to_exact()
     lin = linearize(work, spec)
     exc = excess_set(work, L, spec, q)
-    eset = set(exc.leaves)
     leaf_vals = work.leaf_values(spec)
     w = spec.leaf_measure
 
     entries: list[GPhiEntry] = []
-    new_pieces: list[tuple[Fraction, Fraction, Fraction]] = []
-
+    cut: dict[int, tuple[Fraction, Fraction]] = {}  # excess leaf -> (c, support length)
     for el in lin.elements:
-        if not lin.a_sets[el] or lin.averages[el] < L:
-            continue
         idxs = lin.a_sets[el]
-        a = sum((leaf_vals[i] * w for i in idxs), start=Fraction(0))
-        b = sum(float(leaf_vals[i]) ** q * float(w) for i in idxs)
-        pos = w * sum(1 for i in idxs if leaf_vals[i] > 0)
-
-        if a == 0:
-            entries.append(GPhiEntry(el, Fraction(0), Fraction(0), (), a, b))
-            for i in idxs:
-                new_pieces.append((w * i, w * (i + 1), Fraction(0)))
+        if not idxs or lin.averages[el] < L:
             continue
-
-        distinct = {leaf_vals[i] for i in idxs if leaf_vals[i] > 0}
-        if len(distinct) == 1:
-            # already two valued on this set: the exact solution is phi itself
+        vals = [leaf_vals[i] for i in idxs]
+        a = w * sum(vals)
+        b = sum(float(v) ** q * float(w) for v in vals)
+        positive = [v for v in vals if v > 0]
+        pos = w * len(positive)
+        if len(set(positive)) <= 1:
+            # zero or already two valued on this set: phi itself is the solution
             gamma = pos
         else:
             gamma_f = (b / float(a) ** q) ** (1.0 / (1.0 - q))
             # snap half up: a support of exactly half a grid cell must survive
-            gamma = Fraction(math.floor(Fraction(gamma_f) * grid + Fraction(1, 2)), grid)
-            if gamma > pos:
-                gamma = pos
+            snapped = Fraction(math.floor(Fraction(gamma_f) * grid + Fraction(1, 2)), grid)
+            gamma = min(pos, snapped)
             if gamma <= 0:
                 raise RefinementTooCoarseError(
                     f"support measure {gamma_f} of {el} vanishes on the m^-{refine} grid"
                 )
-        c = a / gamma
-
-        support: list[tuple[Fraction, Fraction]] = []
+        c = a / gamma if gamma else a
+        # pack the support from the left; gamma <= pos <= |A| w, so it fits
+        support = []
         remaining = gamma
         for i in idxs:
-            s, e = w * i, w * (i + 1)
-            take = min(e - s, remaining)
+            take = min(w, remaining)
+            remaining -= take
+            cut[i] = (c, take)
             if take > 0:
-                support.append((s, s + take))
-                new_pieces.append((s, s + take, c))
-                remaining -= take
-            if take < e - s:
-                new_pieces.append((s + take, e, Fraction(0)))
-        if remaining != 0:
-            raise RefinementTooCoarseError(
-                f"could not place support of measure {gamma} inside A({el})"
-            )
+                support.append((w * i, w * i + take))
         entries.append(GPhiEntry(el, c, gamma, tuple(support), a, b))
 
-    for i in range(spec.n_leaves):
-        if i not in eset:
-            new_pieces.append((w * i, w * (i + 1), leaf_vals[i]))
-
-    g = StepFunction.from_pieces(new_pieces).simplify()
+    # one ordered walk over the leaves: c on the support, then 0; phi elsewhere
+    bps: list[Fraction] = []
+    values: list[Fraction] = []
+    for i, v in enumerate(leaf_vals):
+        c, take = cut.get(i, (v, w))
+        for start, value, length in ((w * i, c, take), (w * i + take, Fraction(0), w - take)):
+            if length > 0 and (not values or value != values[-1]):
+                bps.append(start)
+                values.append(value)
+    g = StepFunction(bps + [Fraction(1)], values)
     record = GPhiRecord(entries=tuple(entries), excess=exc, refine=refine)
     return g, record
 

@@ -207,6 +207,17 @@ class TestConfigFile:
         code, _, _ = run_cli(capsys, "bellman", "--config", "/no/such.cfg")
         assert code == 4
 
+    def test_bad_format_key_rejected_before_running(self, capsys, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the study ran before its format was checked")
+
+        monkeypatch.setattr("bklab.cli.convergence_study", fail)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q = 0.5\nf = 1\nh = 0.8\nL = 1.2\ndepths = 2\nformat = yaml\n")
+        code, _, err = run_cli(capsys, "study", "--config", str(cfg))
+        assert code == 1
+        assert "config key format: invalid choice 'yaml' (choose from json, csv)" in err
+
     def test_out_key_writes_file(self, capsys, tmp_path):
         path = tmp_path / "r.json"
         cfg = tmp_path / "run.cfg"

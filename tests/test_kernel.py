@@ -290,6 +290,57 @@ class TestBellmanValue:
             bellman_value(0.5, 1.0, 0.0, 1.2)
 
 
+class TestPinnedBits:
+    """Exact bits of the bisection-backed functions, recorded while the
+    bisection still tested a relative tolerance at every step."""
+
+    OMEGA = [((1.25, 0.5), "0x1.fffffffffffffp+0"),
+             ((50.0, 0.001), "0x1.906680a401067p+5"),
+             ((3.7, 0.3), "0x1.51b84cc3831c8p+2"),
+             ((1e4, 0.85), "0x1.0469de5b325f2p+16"),
+             ((1.0000001, 0.6), "0x1.0023e77f325ccp+0")]
+    CHI = [((1.25, 0.6, 0.5), "0x1.707dda2b0889ep+0"),
+           ((2.0, 0.3, 0.2), "0x1.a425876818a70p+1"),
+           ((5.5, 0.1, 0.8), "0x1.2936460a197c2p+3"),
+           ((1.01, 0.9, 0.4), "0x1.06a8c1bb515d4p+0"),
+           ((3.0, 0.05, 0.65), "0x1.0ee7c2a767e08p+4")]
+    # (k, q, f, h) -> rho_interval, maximize_r_k; the fourth is TestRk.ILL_CONDITIONED
+    KQFH = [((0.6, 0.5, 1.0, 0.8),
+             ("0x1.d8a96971d209cp-5", "0x1.ff21719a09c8ep-1"),
+             ("0x1.ba309f66d70bdp-1", "0x1.29ff3e7989049p+0")),
+            ((0.3, 0.25, 2.0, 1.1),
+             ("0x1.c1ddc30c0cf58p-5", "0x1.778f7bfe368d2p+0"),
+             ("0x1.34793d07fc6c3p+0", "0x1.08f504f56aa84p-1")),
+            ((0.8, 0.7, 1.0, 0.9),
+             ("0x1.5a2b33824b910p-2", "0x1.0000000000000p+0"),
+             ("0x1.d36a89306718ap-1", "0x1.8c1fa694dbdcep+0")),
+            ((0.7977415314164339, 0.15281977044513048, 0.8641135814066214, 0.8116373519437352),
+             ("0x1.4dbabfe3602a9p-4", "0x1.ba6d186853d25p-1"),
+             ("0x1.ae379c3924355p-1", "0x1.dc586cf55df01p-1")),
+            ((0.2, 0.3, 2.0, 1.0),
+             ("0x0.0p+0", "0x1.a6ecee92a7dd0p+0"),
+             ("0x1.5da710cd9d39ap+0", "0x1.eff8ceed14f6cp-2"))]
+    BELLMAN = [((0.5, 1.0, 0.8, 1.2), "0x1.9c6e9b887b48ap+0"),
+               ((0.3, 2.0, 1.1, 3.0), "0x1.965871974036fp+0"),
+               ((0.8, 1.0, 0.5, 1.0), "0x1.e5c449aa21f31p+1"),
+               ((0.05, 1.0, 0.95, 2.0), "0x1.0e47b9b774f9ep+0"),
+               ((0.95, 0.5, 0.4, 5.0), "0x1.b55662f36f5d2p+2")]
+
+    def test_omega(self):
+        assert [omega_q(*a).hex() for a, _ in self.OMEGA] == [w for _, w in self.OMEGA]
+
+    def test_chi_lambda(self):
+        assert [chi_lambda(*a).hex() for a, _ in self.CHI] == [w for _, w in self.CHI]
+
+    def test_rho_interval_and_maximize_r_k(self):
+        for args, rho, best in self.KQFH:
+            assert tuple(x.hex() for x in rho_interval(*args)) == rho
+            assert tuple(x.hex() for x in maximize_r_k(*args)) == best
+
+    def test_bellman_value(self):
+        assert [bellman_value(*a).hex() for a, _ in self.BELLMAN] == [w for _, w in self.BELLMAN]
+
+
 class TestBellmanParams:
     def test_derived_constants(self):
         p = BellmanParams(q=0.5, f=1.0, h=0.8, L=1.2)

@@ -534,6 +534,46 @@ class TestGPhi:
         with pytest.raises(DomainError):
             g_phi(phi, 1.0, 1.0, spec)
 
+    def test_outputs_pinned(self):
+        # recorded when g was assembled from sorted pieces and then simplified;
+        # refine=1 is too coarse for some A-sets, so error messages are pinned too
+        digest = hashlib.sha256()
+        rng = random.Random(91)
+        calls = 0
+        for (m, depth), q in (((2, 6), 0.5), ((3, 4), 0.3), ((4, 3), 0.7)):
+            spec = TreeSpec(m, depth)
+            for exact in (True, False):
+                phi = random_step_function(rng, spec, exact=exact)
+                top = max(phi.leaf_values(spec))
+                for L in (1, Fraction(5, 2), top / 2, top + 1):
+                    for refine in (None, depth, 1):
+                        calls += 1
+                        try:
+                            g, rec = g_phi(phi, L, q, spec, refine=refine)
+                        except RefinementTooCoarseError as exc:
+                            digest.update(f"error {exc}\n".encode())
+                            continue
+                        digest.update(repr((g.breakpoints, g.values, rec.entries,
+                                            rec.excess.leaves, rec.refine)).encode())
+        assert calls == 72
+        assert digest.hexdigest() == (
+            "fa156edf1fdbe99ad1833c17854d3763be8062816da9abb57398f9bb743e816b")
+
+    def test_snapped_gamma_clamped_to_positive_measure(self):
+        # A(root) = leaves {2, 3}; the float support measure rounds one ulp
+        # above their measure 1/2, so the snapped gamma must be cut back to 1/2
+        spec = TreeSpec(2, 2)
+        phi = StepFunction.from_leaf_values(
+            [Fraction(8), Fraction(0), Fraction(2), 2 + Fraction(1, 2**30)], spec)
+        g, rec = g_phi(phi, 1, 0.5, spec)
+        ent = next(e for e in rec.entries if e.element == ROOT)
+        assert (ent.q_mass / float(ent.mass) ** 0.5) ** 2 > 0.5
+        assert ent.gamma == Fraction(1, 2)
+        assert ent.c == ent.mass * 2
+        support = sum((b - a for a, b, v in zip(g.breakpoints, g.breakpoints[1:], g.values)
+                       if a >= Fraction(1, 2) and v > 0), start=Fraction(0))
+        assert support == Fraction(1, 2)
+
 
 class TestLeafHelpers:
     def test_leaf_integrals_against_direct(self):
