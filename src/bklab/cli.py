@@ -1,9 +1,11 @@
 """Command-line front end for the analytic kernel, tree evaluators, and search.
 
-Every subcommand is a thin adapter: flags (optionally defaulted from a
-key = value config file) are resolved into library calls and the resulting
-report is serialized deterministically, floats at 17 significant digits and
-object keys sorted, so repeated runs are byte-identical.
+Every subcommand is a thin adapter: its handler turns resolved flags into
+library calls and returns the report.  One dispatcher does the rest: it
+resolves the flags (optionally defaulted from a key = value config file),
+loads --phi and infers its tree, builds the Bellman data, and serializes the
+report deterministically, floats at 17 significant digits and object keys
+sorted, so repeated runs are byte-identical.
 
 Exit codes: 0 success, 1 usage, 2 domain error, 3 convergence failure,
 4 I/O error.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .dyadic import StepFunction, TreeSpec, linearize, maximal_function
@@ -26,6 +29,17 @@ from .transforms import eigen_residual, g_phi, gap_rows_to_csv, verify_suite
 # the 1/(1-q) factors lose conditioning near the endpoints
 Q_MIN = 1e-3
 Q_MAX = 1.0 - 1e-3
+
+
+def _depths(text):
+    try:
+        depths = [int(part) for part in text.replace(" ", "").split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
+    if not depths:
+        raise argparse.ArgumentTypeError("need at least one depth")
+    return depths
+
 
 # every value flag: name -> (type, help). The config file takes the same
 # names as keys, plus "big-l" for L.
@@ -48,13 +62,13 @@ _FLAGS = {
     "budget": (int, "proposals per restart"),
     "restarts": (int, "search restarts"),
     "grid": (int, "levels per cell for --oracle"),
-    "depths": (str, "comma-separated depths, e.g. 4,6,8"),
+    "depths": (_depths, "comma-separated depths, e.g. 4,6,8"),
     "format": (str, "report format"),
     "out": (str, "output path (default stdout)"),
 }
 
 # flags with a closed set of values, checked on the command line and in the file
-_CHOICES = {"format": ("json", "csv")}
+_CHOICES = {"format": ("json", "csv"), "suite": ("inequalities",)}
 
 _REQUIRED = object()
 _PARAMS = {"q": _REQUIRED, "f": _REQUIRED, "h": _REQUIRED, "L": _REQUIRED}
@@ -143,7 +157,7 @@ def _from_config(cfg, name):
         if key in cfg:
             try:
                 val = _FLAGS[name][0](cfg[key])
-            except ValueError:
+            except (ValueError, argparse.ArgumentTypeError):
                 raise UsageError(
                     f"config key {key}: cannot parse {cfg[key]!r}"
                 ) from None
@@ -154,12 +168,9 @@ def _from_config(cfg, name):
     return None
 
 
-def _check_q(q: float) -> None:
-    if not (Q_MIN <= q <= Q_MAX):
-        raise DomainError(f"--q must lie in [{Q_MIN}, {Q_MAX}], got {q}")
-
-
-def _load_phi(path):
+def _load_phi(path, given_depth):
+    """The step function in a JSON file and its tree: the given depth, or
+    else the shallowest leaf grid the function aligns with."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -169,21 +180,15 @@ def _load_phi(path):
         phi, m = StepFunction.from_json_obj(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path}: not a step-function document ({exc})") from None
-    return phi, m
-
-
-def _infer_spec(phi, m, given_depth) -> TreeSpec:
-    if given_depth is not None:
-        spec = TreeSpec(m, given_depth)
-        if not phi.is_leaf_aligned(spec):
-            raise DomainError(
-                f"function is not aligned with the depth {given_depth} leaf grid"
-            )
-        return spec
-    for depth in range(1, _MAX_INFER_DEPTH + 1):
+    given = given_depth is not None
+    for depth in (given_depth,) if given else range(1, _MAX_INFER_DEPTH + 1):
         spec = TreeSpec(m, depth)
         if phi.is_leaf_aligned(spec):
-            return spec
+            return phi, spec
+    if given:
+        raise DomainError(
+            f"function is not aligned with the depth {given_depth} leaf grid"
+        )
     raise DomainError(
         f"no leaf grid up to depth {_MAX_INFER_DEPTH} aligns with the function"
     )
@@ -193,9 +198,9 @@ def _infer_spec(phi, m, given_depth) -> TreeSpec:
 
 
 def _cmd_bellman(args):
-    p = BellmanParams(args.q, args.f, args.h, args.L)
-    report = {
-        "params": {"q": p.q, "f": p.f, "h": p.h, "L": p.L},
+    p = args.params
+    return {
+        "params": asdict(p),
         "value": p.value,
         "c": p.c,
         "tau": p.tau,
@@ -203,26 +208,20 @@ def _cmd_bellman(args):
         "lam": p.lam,
         "mu": p.mu,
     }
-    emit_report(report, "json", args.out)
 
 
 def _cmd_maximal(args):
-    phi, m = _load_phi(args.phi)
-    spec = _infer_spec(phi, m, args.N)
-    mx = maximal_function(phi, spec)
-    report = {
-        "m": spec.m,
-        "N": spec.depth,
-        "phi": phi.to_json_obj(spec.m),
-        "maximal": mx.to_json_obj(spec.m),
+    mx = maximal_function(args.phi, args.spec)
+    return {
+        "m": args.spec.m,
+        "N": args.spec.depth,
+        "phi": args.phi.to_json_obj(args.spec.m),
+        "maximal": mx.to_json_obj(args.spec.m),
     }
-    emit_report(report, "json", args.out)
 
 
 def _cmd_linearize(args):
-    phi, m = _load_phi(args.phi)
-    spec = _infer_spec(phi, m, args.N)
-    lin = linearize(phi, spec)
+    lin = linearize(args.phi, args.spec)
     elements = []
     for el in lin.elements:
         w = lin.weights[el]
@@ -238,113 +237,84 @@ def _cmd_linearize(args):
             "a_leaves": list(lin.a_sets[el]),
             "star": None if st is None else {"depth": st.depth, "index": st.index},
         })
-    report = {"m": spec.m, "N": spec.depth, "elements": elements}
-    emit_report(report, "json", args.out)
+    return {"m": args.spec.m, "N": args.spec.depth, "elements": elements}
 
 
 def _cmd_gphi(args):
-    phi, m = _load_phi(args.phi)
-    spec = _infer_spec(phi, m, args.N)
-    g, rec = g_phi(phi, args.L, args.q, spec, refine=args.refine)
-    entries = []
-    for ent in rec.entries:
-        entries.append({
-            "depth": ent.element.depth,
-            "index": ent.element.index,
-            "c": float(ent.c),
-            "c_exact": _frac_str(ent.c),
-            "gamma": float(ent.gamma),
-            "gamma_exact": _frac_str(ent.gamma),
-            "mass": float(ent.mass),
-            "q_mass": float(ent.q_mass),
-        })
-    report = {
-        "m": spec.m,
-        "N": spec.depth,
+    g, rec = g_phi(args.phi, args.L, args.q, args.spec, refine=args.refine)
+    entries = [{
+        "depth": ent.element.depth,
+        "index": ent.element.index,
+        "c": float(ent.c),
+        "c_exact": _frac_str(ent.c),
+        "gamma": float(ent.gamma),
+        "gamma_exact": _frac_str(ent.gamma),
+        "mass": float(ent.mass),
+        "q_mass": float(ent.q_mass),
+    } for ent in rec.entries]
+    return {
+        "m": args.spec.m,
+        "N": args.spec.depth,
         "refine": rec.refine,
         "excess_measure": float(rec.excess.measure),
         "entries": entries,
-        "g": g.to_json_obj(spec.m),
+        "g": g.to_json_obj(args.spec.m),
     }
-    emit_report(report, "json", args.out)
 
 
 def _cmd_verify(args):
-    if args.suite != "inequalities":
-        raise UsageError(f"unknown suite {args.suite!r}, choose from: inequalities")
     spec = TreeSpec(args.m, args.N)
     rows = [] if args.csv else None
     rep = verify_suite(args.n, spec, args.q, n_beta=args.beta_points,
                        beta_lo=args.beta_lo, beta_hi=args.beta_hi,
                        seed=args.seed, collect=rows)
-    report = {
+    if args.csv:
+        with open(args.csv, "w") as fh:
+            fh.write(gap_rows_to_csv(rows))
+    return {
+        **asdict(rep),
         "suite": args.suite,
         "m": args.m,
         "N": args.N,
         "q": args.q,
         "seed": args.seed,
-        "n_phi": rep.n_phi,
-        "n_checks": rep.n_checks,
-        "n_violations": rep.n_violations,
-        "min_slack": rep.min_slack,
-        "min_slack_by_kind": dict(rep.min_slack_by_kind),
-        "elapsed_seconds": rep.elapsed_seconds,
     }
-    emit_report(report, "json", args.out)
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(gap_rows_to_csv(rows))
 
 
 def _cmd_search(args):
-    p = BellmanParams(args.q, args.f, args.h, args.L)
     spec = TreeSpec(args.m, args.N)
     if args.oracle:
-        rep = brute_force_oracle(p, spec, grid=args.grid)
-    else:
-        rep = local_search(p, spec, seed=args.seed, budget=args.budget,
-                           restarts=args.restarts)
-    emit_report(rep.to_json_obj(), "json", args.out)
+        return brute_force_oracle(args.params, spec, grid=args.grid).to_json_obj()
+    return local_search(args.params, spec, seed=args.seed, budget=args.budget,
+                        restarts=args.restarts).to_json_obj()
 
 
 def _cmd_study(args):
-    p = BellmanParams(args.q, args.f, args.h, args.L)
-    try:
-        depths = [int(part) for part in args.depths.replace(" ", "").split(",") if part]
-    except ValueError:
-        raise UsageError(f"--depths: cannot parse {args.depths!r}") from None
-    if not depths:
-        raise UsageError("--depths: need at least one depth")
-    reports = convergence_study(p, depths, seed=args.seed, budget=args.budget,
-                                restarts=args.restarts, m=args.m)
+    reports = convergence_study(args.params, args.depths, seed=args.seed,
+                                budget=args.budget, restarts=args.restarts, m=args.m)
     if args.format == "csv":
-        emit_report(study_to_csv(reports), "csv", args.out)
-    else:
-        emit_report([r.to_json_obj() for r in reports], args.format, args.out)
+        return study_to_csv(reports)
+    return [r.to_json_obj() for r in reports]
 
 
 def _cmd_residual(args):
-    phi, m = _load_phi(args.phi)
-    spec = _infer_spec(phi, m, args.N)
-    p = BellmanParams(args.q, args.f, args.h, args.L)
-    res = eigen_residual(phi, p, spec)
-    report = {
-        "m": spec.m,
-        "N": spec.depth,
-        "params": {"q": p.q, "f": p.f, "h": p.h, "L": p.L},
-        "total": res.total,
-        "excess_part": res.excess_part,
-        "flat_part": res.flat_part,
-        "excess_measure": res.excess_measure,
+    p = args.params
+    return {
+        **asdict(eigen_residual(args.phi, p, args.spec)),
+        "m": args.spec.m,
+        "N": args.spec.depth,
+        "params": asdict(p),
         "tau": p.tau,
     }
-    emit_report(report, "json", args.out)
 
 
 # -- argument plumbing --------------------------------------------------
 
 # subcommand -> (handler, help, {flag: default or _REQUIRED}); every
-# subcommand also takes --config and --out
+# subcommand also takes --config and --out. A handler returns its report:
+# _dispatch resolves the flags, loads --phi into args.phi and args.spec and
+# builds args.params from --q, --f, --h and --L beforehand, and writes the
+# report afterwards.
 _COMMANDS = {
     "bellman": (_cmd_bellman, "analytic value, growth constant, and thresholds",
                 _PARAMS),
@@ -399,9 +369,13 @@ def _dispatch(argv) -> int:
             if val is None and flags.get(name) is _REQUIRED:
                 raise UsageError(f"missing required flag --{name}")
             setattr(args, attr, flags.get(name) if val is None else val)
-    if "q" in flags:
-        _check_q(args.q)
-    handler(args)
+    if "q" in flags and not (Q_MIN <= args.q <= Q_MAX):
+        raise DomainError(f"--q must lie in [{Q_MIN}, {Q_MAX}], got {args.q}")
+    if "phi" in flags:
+        args.phi, args.spec = _load_phi(args.phi, args.N)
+    if "f" in flags:
+        args.params = BellmanParams(args.q, args.f, args.h, args.L)
+    emit_report(handler(args), getattr(args, "format", "json"), args.out)
     return 0
 
 

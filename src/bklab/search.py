@@ -56,11 +56,16 @@ def leaf_maximal(values, m: int, depth: int) -> np.ndarray:
     return np.maximum(out, v + 0.0, out=out)
 
 
+def _objective(values, L: float, q: float, m: int, depth: int):
+    """integral of max(M phi, L)^q and the unfloored leaf_maximal, per row."""
+    mx = leaf_maximal(values, m, depth)
+    # np.mean's summation and division, without its Python wrapper
+    return np.add.reduce(np.maximum(mx, L) ** q, axis=-1) / mx.shape[-1], mx
+
+
 def leaf_objective(values, L: float, q: float, m: int, depth: int):
     """integral of max(M phi, L)^q for leaf-value arrays (batch friendly)."""
-    mx = leaf_maximal(values, m, depth)
-    np.maximum(mx, L, out=mx)
-    return (mx**q).mean(axis=-1)
+    return _objective(values, L, q, m, depth)[0]
 
 
 def project_to_moments(values, f: float, h: float, q: float) -> np.ndarray:
@@ -355,8 +360,7 @@ def _consolidate_tail(vals, params, spec):
     w = 1.0 / n
 
     def score(v):
-        mx = leaf_maximal(v, m, depth)
-        obj = (np.maximum(mx, L) ** q).mean(axis=-1)
+        obj, mx = _objective(v, L, q, m, depth)
         res = (np.abs(np.where(mx >= L, mx, L) - root * v) ** q).sum(axis=-1) * w
         return obj, res, mx
 
@@ -456,16 +460,9 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
     if vals is None:
         return None
 
-    def evaluate(v):
-        """Objective and floored maximal function, per row of a batch."""
-        mx = leaf_maximal(v, m, depth)
-        np.maximum(mx, L, out=mx)
-        # np.mean's summation and division, without its Python wrapper
-        return np.add.reduce(mx**q, axis=-1) / n, mx
-
-    cur, cur_mx = evaluate(vals)
+    cur, cur_mx = _objective(vals, L, q, m, depth)
     cur = float(cur)
-    slack = None  # cells of cur_mx at the floor; rebuilt after an accept
+    slack = None  # cells of cur_mx at or below the floor; rebuilt after an accept
     tau = params.tau
 
     def propose():
@@ -538,7 +535,7 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
                 cand[row:rows + 1, k] = sol[::-1]
             staged.append((drawn, row, rows))
             rows += 1
-        objs, mxs = evaluate(cand[:rows])
+        objs, mxs = _objective(cand[:rows], L, q, m, depth)
         for upto, row, last in staged:
             row = last if objs[last] > objs[row] else row
             if objs[row] > cur:

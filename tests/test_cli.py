@@ -269,6 +269,26 @@ class TestConfigFile:
 
         assert run("file") == run("flags")
 
+    @pytest.mark.parametrize("command, flags", [
+        ("maximal", ["--phi", "PHI"]),
+        ("linearize", ["--phi", "PHI"]),
+        ("gphi", ["--phi", "PHI", "--q", "0.5", "--L", "1.2"]),
+        ("residual", ["--phi", "PHI", "--q", "0.5", "--f", "1", "--h", "0.8",
+                      "--L", "1.2"]),
+        ("search", ["--oracle", "--q", "0.5", "--f", "1", "--h", "0.8",
+                    "--L", "1.2", "--N", "2", "--grid", "4"]),
+    ])
+    def test_out_file_holds_printed_bytes(self, capsys, tmp_path, command, flags):
+        path, _, _ = write_phi(tmp_path, [2, 0, 1, 1])
+        argv = [command, *(str(path) if x == "PHI" else x for x in flags)]
+        code, printed, _ = run_cli(capsys, *argv)
+        assert code == 0 and printed
+        out = tmp_path / "r.json"
+        code, printed_too, _ = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0 and printed_too == ""
+        timing = r'"elapsed_seconds":[^,}]*'
+        assert re.sub(timing, "", out.read_text()) == re.sub(timing, "", printed)
+
 
 class TestFileSubcommands:
     def test_maximal_matches_library(self, capsys, tmp_path):
@@ -340,6 +360,15 @@ class TestVerifyCommand:
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0] == GAP_CSV_HEADER
         assert len(lines) == got["n_checks"] + 1
+
+    def test_unwritable_csv_fails_before_printing(self, capsys, tmp_path):
+        # the rows are written before the report, so a bad --csv path leaves
+        # stdout empty
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--N", "3",
+                                 "--q", "0.5", "--csv", str(tmp_path / "no" / "x.csv"))
+        assert code == 4
+        assert out == ""
+        assert "io error" in err
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nope",
