@@ -421,7 +421,11 @@ class Linearization:
 
 def linearize(phi: StepFunction, spec: TreeSpec) -> Linearization:
     """Distinguished family of phi by the shallowest-attaining-ancestor rule."""
-    levels = tree_averages(phi, spec)
+    return _linearize(tree_averages(phi, spec), spec)
+
+
+def _linearize(levels: list[list], spec: TreeSpec) -> Linearization:
+    """linearize over the averages levels of tree_averages."""
     m, N = spec.m, spec.depth
 
     # the A-sets, star walk and ordering work on (depth, index) keys; one
@@ -495,7 +499,12 @@ def excess_set(phi: StepFunction, L, spec: TreeSpec, q: float) -> ExcessSet:
     The union of the returned elements equals {M phi >= L} exactly at leaf
     resolution.  B >= k L whenever the set is nonempty.
     """
-    levels = tree_averages(phi, spec)
+    return _excess_from_levels(tree_averages(phi, spec), L, spec, q, phi.is_exact)
+
+
+def _excess_from_levels(levels: list[list], L, spec: TreeSpec, q: float,
+                        exact: bool) -> ExcessSet:
+    """excess_set over the averages levels of tree_averages; exact for Fraction levels."""
     m, N = spec.m, spec.depth
     chosen: list[TreeElement] = []
 
@@ -514,7 +523,7 @@ def excess_set(phi: StepFunction, L, spec: TreeSpec, q: float) -> ExcessSet:
     leaf_vals = levels[-1]
     w = spec.leaf_measure
     measure = w * len(leaves)
-    mass = sum((leaf_vals[i] * w for i in leaves), start=Fraction(0) if phi.is_exact else 0.0)
+    mass = sum((leaf_vals[i] * w for i in leaves), start=Fraction(0) if exact else 0.0)
     q_mass = float(sum(float(leaf_vals[i]) ** q * float(w) for i in leaves))
     return ExcessSet(
         elements=tuple(chosen),

@@ -341,6 +341,55 @@ def _three_cell_targets(vi, vj, vk, t, q):
     return a, s1 - a
 
 
+def _headroom(vals, L: float, m: int, depth: int) -> np.ndarray:
+    """Per leaf, the least L |A| - sum_A vals over its strict ancestors A."""
+    out = np.full(vals.shape, np.inf)
+    for d in range(depth):
+        size = m ** (depth - d)
+        room = L * size - np.add.reduce(vals.reshape(m**d, size), axis=-1)
+        blocks = out.reshape(m**d, size)
+        np.minimum(blocks, room[:, None], out=blocks)
+    return out
+
+
+# _floor_fixed's rounding margin, in units of L n^2
+_ROUNDING = 4.0 * np.finfo(float).eps
+
+
+def _floor_fixed(vals, mx, room, moves, L: float) -> bool:
+    """Whether each move provably leaves max(M phi, L) as it is, bit for bit.
+
+    A move is a (cells, new) pair setting vals[cells] = new.  mx must have
+    the < L mask of leaf_maximal(vals), and room is _headroom(vals).  Every
+    changed cell is below the floor in mx, so every block holding one
+    averages below L; each new value is below L, and the mass moved in (its
+    positive part) fits under the least headroom of the cells' ancestors,
+    so those blocks still average below L.  Every other block is the same
+    data reduced the same way, so max(M phi, L) keeps every bit and the
+    < L mask of M phi does not change either.
+
+    The margin covers rounding: numpy sums k nonnegative values, in any
+    order, to within (k - 1) 2^-53 of their sum, and every block sum here
+    (before the move, after it, and the L |A| it is compared with) is at
+    most about L n; 4 eps L n^2 covers the three of them with room left
+    for the last rounding of the average below L.
+    """
+    margin = _ROUNDING * L * len(vals) ** 2
+    for cells, new in moves:
+        moved_in, least = 0.0, math.inf
+        for c, t in zip(cells, new):
+            if not (mx.item(c) < L and t < L):
+                return False
+            v, r = vals.item(c), room.item(c)
+            if t > v:
+                moved_in += t - v
+            if r < least:
+                least = r
+        if not moved_in < least - margin:
+            return False
+    return True
+
+
 def _consolidate_tail(vals, params, spec):
     """Deterministic post-pass parking below-floor cells at the flat level.
 
@@ -352,6 +401,11 @@ def _consolidate_tail(vals, params, spec):
     tau exactly and routes the two-moment correction into two fixed
     reservoir cells.  A move is kept only if the objective does not drop
     and the defect strictly drops.  Returns (objective, defect, vals).
+
+    A cell's candidate batch that _floor_fixed certifies keeps the objective
+    bit for bit, so it is scored by its defect alone against the current
+    floor, and mx is carried over: its < L mask and its values >= L, all the
+    pass reads of it, stay exact.  Other batches are scored in full.
     """
     m, depth, n = spec.m, spec.depth, spec.n_leaves
     q, L = params.q, params.L
@@ -359,13 +413,17 @@ def _consolidate_tail(vals, params, spec):
     tau = params.tau
     w = 1.0 / n
 
+    def residual(floor, v):
+        return (np.abs(floor - root * v) ** q).sum(axis=-1) * w
+
     def score(v):
         obj, mx = _objective(v, L, q, m, depth)
-        res = (np.abs(np.where(mx >= L, mx, L) - root * v) ** q).sum(axis=-1) * w
-        return obj, res, mx
+        return obj, residual(np.where(mx >= L, mx, L), v), mx
 
     cur_obj, cur_res, mx = score(vals)
     cur_obj, cur_res = float(cur_obj), float(cur_res)
+    floor = np.where(mx >= L, mx, L)
+    room = _headroom(vals, L, m, depth)
     for _ in range(2):
         slack = np.flatnonzero(mx < L)
         if slack.size < 3:
@@ -401,7 +459,14 @@ def _consolidate_tail(vals, params, spec):
             cand[:, i] = tau
             for row, (r1, r2, aa, bb) in enumerate(moves):
                 cand[row, r1], cand[row, r2] = aa, bb
-            objs, ress, mxs = score(cand)
+            # the reservoirs were picked at the start of the sweep and may
+            # have left the slack since, so the certificate reads today's mx
+            fixed = _floor_fixed(vals, mx, room, (((i, r1, r2), (tau, aa, bb))
+                                                  for r1, r2, aa, bb in moves), L)
+            if fixed:
+                objs, ress = np.full(len(moves), cur_obj), residual(floor, cand)
+            else:
+                objs, ress, mxs = score(cand)
             best = None
             for row in range(len(moves)):
                 obj, res = float(objs[row]), float(ress[row])
@@ -412,7 +477,10 @@ def _consolidate_tail(vals, params, spec):
                 cur_obj, cur_res, row = best
                 r1, r2, aa, bb = moves[row]
                 vals[i], vals[r1], vals[r2] = tau, aa, bb
-                mx = mxs[row]
+                if not fixed:
+                    mx = mxs[row]
+                    floor = np.where(mx >= L, mx, L)
+                room = _headroom(vals, L, m, depth)
                 changed = True
         if not changed:
             break

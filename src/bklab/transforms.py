@@ -37,9 +37,10 @@ from .dyadic import (
     StepFunction,
     TreeElement,
     TreeSpec,
-    excess_set,
+    _excess_from_levels,
     _kolmogorov_slack,
     _levels,
+    _linearize,
     _running_max,
     _weak_type_slack,
     linearize,
@@ -302,9 +303,10 @@ def g_phi(phi: StepFunction, L, q: float, spec: TreeSpec,
     grid = spec.m**refine
 
     work = phi.to_exact()
-    lin = linearize(work, spec)
-    exc = excess_set(work, L, spec, q)
-    leaf_vals = work.leaf_values(spec)
+    levels = tree_averages(work, spec)  # one exact pass serves both below
+    lin = _linearize(levels, spec)
+    exc = _excess_from_levels(levels, L, spec, q, exact=True)
+    leaf_vals = levels[-1]
     w = spec.leaf_measure
 
     entries: list[GPhiEntry] = []

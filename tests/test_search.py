@@ -7,7 +7,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bklab import search
 from bklab.dyadic import StepFunction, TreeSpec, maximal_function
 from bklab.errors import (
     ComplexityGuardError,
@@ -18,6 +21,9 @@ from bklab.kernel import BellmanParams
 from bklab.search import (
     STUDY_CSV_HEADER,
     SearchReport,
+    _floor_fixed,
+    _headroom,
+    _objective,
     _seed_values,
     _three_cell_targets,
     brute_force_oracle,
@@ -383,6 +389,106 @@ class TestLocalSearch:
             assert np.all(np.isfinite(vals))
             assert np.all(vals >= 0.0)
             assert vals.max() > 0.0
+
+
+@st.composite
+def slack_moves(draw):
+    """Leaf array, L, q and a three-cell move on cells below the floor."""
+    m = draw(st.sampled_from((2, 3)))
+    depth = draw(st.integers(2 if m == 2 else 1, 5))
+    n = m**depth
+    L = draw(st.sampled_from((0.5, 1.2, 4.0)))
+    scale = draw(st.floats(0.1, 3.0)) * L
+    value = st.one_of(st.floats(0.0, scale), st.sampled_from((0.0, L)))
+    vals = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    mx = leaf_maximal(vals, m, depth)
+    slack = np.flatnonzero(mx < L).tolist()
+    assume(len(slack) >= 3)
+    cells = tuple(draw(st.lists(st.sampled_from(slack), min_size=3, max_size=3, unique=True)))
+    step = st.one_of(st.floats(-0.5, 0.5), st.sampled_from((0.0, 1e-300)))
+    new = tuple(max(0.0, float(vals[c]) + draw(step) * L) for c in cells)
+    if draw(st.booleans()):
+        new = new[:2] + (draw(st.sampled_from((L, math.nextafter(L, 0.0)))),)
+    return vals, L, draw(st.sampled_from((0.3, 0.5))), m, depth, cells, new
+
+
+class TestFloorCertificate:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(slack_moves())
+    def test_certified_moves_keep_the_floor(self, case):
+        vals, L, q, m, depth, cells, new = case
+        obj, mx = _objective(vals, L, q, m, depth)
+        if not _floor_fixed(vals, mx, _headroom(vals, L, m, depth), [(cells, new)], L):
+            return
+        moved = vals.copy()
+        moved[list(cells)] = new
+        moved_obj, moved_mx = _objective(moved, L, q, m, depth)
+        assert moved_obj.hex() == obj.hex()
+        assert np.array_equal(np.maximum(moved_mx, L), np.maximum(mx, L))
+        assert np.array_equal(moved_mx < L, mx < L)
+
+    def test_refuses_mass_that_fills_a_block(self):
+        # cell 0's two-cell block holds 0.1 + 1.5 against a headroom of
+        # 2 L - 1.6 = 0.8: raising cell 0 by 0.8 lifts the block's average
+        # to L itself, which moves cell 0 out of the < L mask
+        L, q = 1.2, 0.5
+        vals = np.array([0.1, 1.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
+        obj, mx = _objective(vals, L, q, 2, 3)
+        room = _headroom(vals, L, 2, 3)
+        for cell0, fixed in ((0.9, False), (0.85, True)):
+            cells, new = (0, 2, 4), (cell0, 0.5, 0.5)
+            assert _floor_fixed(vals, mx, room, [(cells, new)], L) is fixed
+            moved = vals.copy()
+            moved[list(cells)] = new
+            moved_obj, moved_mx = _objective(moved, L, q, 2, 3)
+            assert bool(moved_mx[0] < L) is fixed
+            assert moved_obj == obj
+
+    def test_refuses_a_reservoir_that_left_the_slack(self):
+        # the tail picks its reservoir pairs once per sweep; after an accept
+        # cell 4 (1.5 > L) is no longer below the floor, while every new
+        # value is below L and the mass moved in (0.5) fits the least
+        # headroom (0.9, cell 4's two-cell block)
+        L, q = 1.2, 0.5
+        vals = np.array([0.5, 0.5, 0.5, 0.5, 1.5, 0.0, 0.5, 0.5])
+        cells, new = (0, 4, 6), (0.6, 1.0, 0.9)
+        obj, mx = _objective(vals, L, q, 2, 3)
+        room = _headroom(vals, L, 2, 3)
+        assert room.tolist() == pytest.approx([1.4] * 4 + [0.9] * 2 + [1.4] * 2)
+        assert not _floor_fixed(vals, mx, room, [(cells, new)], L)
+        # the mask from the start of the sweep would have let it through,
+        # and the move does lower the objective
+        stale = np.where(np.arange(8) == 4, 0.9, mx)
+        assert _floor_fixed(vals, stale, room, [(cells, new)], L)
+        moved = vals.copy()
+        moved[list(cells)] = new
+        assert _objective(moved, L, q, 2, 3)[0] < obj
+
+    def test_skipping_certified_rescoring_changes_no_bit(self, monkeypatch):
+        # the certificate only decides whether the tail rescores M phi, so
+        # a run that certifies nothing must match bit for bit; both runs
+        # use this CPU's NumPy loops, so the pins' dispatch does not enter
+        cases = ((BellmanParams(q=0.3, f=1.0, h=0.8, L=1.2), TreeSpec(2, 7)),
+                 (PARAMS, TreeSpec(3, 5)))
+        trajectory = TestLocalSearch._trajectory
+        for params, spec in cases:
+            verdicts = []
+
+            def counted(vals, mx, room, moves, L):
+                # the tail carries mx and room across accepts: the mask and
+                # the headroom it hands over must be those of today's vals
+                m, depth = spec.m, spec.depth
+                assert np.array_equal(mx < L, leaf_maximal(vals, m, depth) < L)
+                assert np.array_equal(room, _headroom(vals, L, m, depth))
+                verdicts.append(_floor_fixed(vals, mx, room, moves, L))
+                return verdicts[-1]
+
+            monkeypatch.setattr(search, "_floor_fixed", counted)
+            fast = local_search(params, spec, seed=0, budget=300, restarts=2)
+            assert any(verdicts) and not all(verdicts), spec
+            monkeypatch.setattr(search, "_floor_fixed", lambda *args: False)
+            full = local_search(params, spec, seed=0, budget=300, restarts=2)
+            assert trajectory(fast, spec) == trajectory(full, spec), spec
 
 
 class TestBruteForceOracle:

@@ -534,6 +534,21 @@ class TestGPhi:
         with pytest.raises(DomainError):
             g_phi(phi, 1.0, 1.0, spec)
 
+    def test_excess_matches_excess_set(self):
+        # g_phi finds the excess set on the levels it shares with its
+        # linearization; it must be the one excess_set finds on the exact
+        # copy of phi that g_phi works on
+        rng = random.Random(26)
+        for m, depth in ((2, 4), (2, 6), (3, 3), (4, 2)):
+            spec = TreeSpec(m, depth)
+            for exact in (True, False):
+                for _ in range(6):
+                    phi = random_step_function(rng, spec, exact=exact)
+                    top = max(phi.leaf_values(spec))
+                    for L in (Fraction(1, 2), 1, top / 2, top, top + 1):
+                        g, rec = g_phi(phi, L, 0.4, spec)
+                        assert rec.excess == excess_set(phi.to_exact(), L, spec, 0.4)
+
     def test_outputs_pinned(self):
         # recorded when g was assembled from sorted pieces and then simplified;
         # refine=1 is too coarse for some A-sets, so error messages are pinned too
