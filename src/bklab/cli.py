@@ -176,10 +176,7 @@ def _load_phi(path, given_depth):
             obj = json.load(fh)
         except ValueError as exc:
             raise UsageError(f"{path}: not valid JSON ({exc})") from None
-    try:
-        phi, m = StepFunction.from_json_obj(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: not a step-function document ({exc})") from None
+    phi, m = StepFunction.from_json_obj(obj)
     given = given_depth is not None
     for depth in (given_depth,) if given else range(1, _MAX_INFER_DEPTH + 1):
         spec = TreeSpec(m, depth)

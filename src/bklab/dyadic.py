@@ -307,22 +307,23 @@ class StepFunction:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> tuple["StepFunction", int]:
-        try:
-            m = int(obj["m"])
-            raw = obj["pieces"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed step function object: {exc}") from exc
-
+        """Inverse of to_json_obj; any malformed document raises DomainError."""
         def endpoint(e) -> Fraction:
             return Fraction(int(e["num"]), m ** int(e["den_pow"]))
 
-        pieces = []
-        for p in raw:
-            v = p["value"]
-            if isinstance(v, dict):
-                v = Fraction(int(v["num"]), int(v["den"]))
-            pieces.append((endpoint(p["start"]), endpoint(p["end"]), v))
-        return cls.from_pieces(pieces), m
+        try:
+            m = int(obj["m"])
+            if m < 2:
+                raise DomainError(f"branching factor must be >= 2, got {m}")
+            pieces = []
+            for p in obj["pieces"]:
+                v = p["value"]
+                if isinstance(v, dict):
+                    v = Fraction(int(v["num"]), int(v["den"]))
+                pieces.append((endpoint(p["start"]), endpoint(p["end"]), v))
+            return cls.from_pieces(pieces), m
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"malformed step function object: {exc}") from exc
 
 
 # -- tree machinery -----------------------------------------------------

@@ -88,12 +88,10 @@ def omega_q(z: float, q: float) -> float:
     the upper endpoint gives (1-q) y >= z, so the bracket is guaranteed.
     """
     _check_q(q)
-    if z < 1.0:
+    if z <= 1.0:
         if z > 1.0 - 1e-12:
             return 1.0
         raise DomainError(f"omega_q needs z >= 1, got {z}")
-    if z == 1.0:
-        return 1.0
 
     def resid(y: float) -> float:
         return (1.0 - q) * y + q * y ** (1.0 - 1.0 / q) - z
@@ -182,14 +180,19 @@ def r_q_mu(k: float, x: float, q: float, mu: float) -> float:
     return y**q / sigma_q(k, x, q) + (mu**q - x**q) * (1.0 - k)
 
 
-def _check_fhk(k: float, q: float, f: float, h: float) -> None:
+def _check_fh(q: float, f: float, h: float) -> None:
+    """Admissible moments: 0 < q < 1, f > 0 and 0 < h <= f^q (Hoelder)."""
     _check_q(q)
-    if not (0.0 < k < 1.0):
-        raise DomainError(f"need 0 < k < 1, got k={k}")
     if f <= 0.0:
         raise DomainError(f"need f > 0, got {f}")
     if not (0.0 < h <= f**q * (1.0 + 1e-12)):
         raise DomainError(f"need 0 < h <= f^q = {f**q}, got h={h}")
+
+
+def _check_fhk(k: float, q: float, f: float, h: float) -> None:
+    _check_fh(q, f, h)
+    if not (0.0 < k < 1.0):
+        raise DomainError(f"need 0 < k < 1, got k={k}")
 
 
 def ell_k(b: float, k: float, q: float, f: float) -> float:
@@ -292,11 +295,7 @@ class BellmanParams:
     L: float
 
     def __post_init__(self) -> None:
-        _check_q(self.q)
-        if self.f <= 0.0:
-            raise DomainError(f"need f > 0, got {self.f}")
-        if not (0.0 < self.h <= self.f**self.q * (1.0 + 1e-12)):
-            raise DomainError(f"need 0 < h <= f^q = {self.f**self.q}, got h={self.h}")
+        _check_fh(self.q, self.f, self.h)
         if self.L < self.f:
             raise DomainError(f"need L >= f, got L={self.L} < f={self.f}")
 

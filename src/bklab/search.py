@@ -28,7 +28,7 @@ from .errors import (
     DomainError,
     InfeasibleStartError,
 )
-from .kernel import BellmanParams
+from .kernel import BellmanParams, _bisect, _check_fh
 from .transforms import eigen_residual
 
 
@@ -80,10 +80,7 @@ def project_to_moments(values, f: float, h: float, q: float) -> np.ndarray:
         raise DomainError("project_to_moments expects a 1-D array")
     if not np.all(np.isfinite(v)) or np.any(v < 0):
         raise DomainError("values must be finite and nonnegative")
-    if f <= 0 or h <= 0 or not (0.0 < q < 1.0):
-        raise DomainError("need f > 0, h > 0, 0 < q < 1")
-    if h > f**q * (1.0 + 1e-12):
-        raise DomainError(f"h = {h} exceeds f^q = {f ** q}")
+    _check_fh(q, f, h)
     n = v.size
     if h >= f**q * (1.0 - 1e-12):
         return np.full(n, f)
@@ -127,6 +124,7 @@ def project_to_moments(values, f: float, h: float, q: float) -> np.ndarray:
         if hi > 512.0:
             raise InfeasibleStartError("no exponent reaches the target q-mass")
         ghi = excess(hi)
+    # not kernel._bracket, which would stop at an exact zero of excess
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -211,12 +209,17 @@ def _finish_report(vals, params, spec, iterations, seed, restarts,
 def _seed_values(params: BellmanParams, spec: TreeSpec, ridx: int, rng) -> np.ndarray:
     """Raw start shape for one restart; moments are repaired afterwards.
 
-    Four shapes put a decreasing profile on a left block standing in for the
-    excess set, of measure near k0, and the flat level tau outside it:
-    two-level, power-law with exponent near the predicted per-halving growth,
-    geometric in the leaf index, and lognormal noise.  The fifth is a
-    multiplicative cascade: random mass ratios drawn per tree node, which
-    spreads spikes across parallel subtrees the way near-optimal shapes do.
+    The shape is kind ridx % 6.  Kinds 0-3 put a decreasing profile on a
+    left block standing in for the excess set, of measure near k0, and the
+    flat level tau outside it: two-level, power-law with exponent near the
+    predicted per-halving growth, geometric in the leaf index, and lognormal
+    noise.  Kind 4 is a multiplicative cascade: random mass ratios drawn per
+    tree node, which spreads spikes across parallel subtrees the way
+    near-optimal shapes do.  Kind 5 runs parallel cascades: a random subset
+    of the depth-D subtrees each get a profile growing geometrically block
+    by block toward a spike on their first leaf, and the rest stay at tau.
+    It halves blocks, so it assumes m = 2; on trees of fewer than 2m leaves
+    it falls back to kind 3.
     """
     n = spec.n_leaves
     tau = params.tau
@@ -331,6 +334,7 @@ def _three_cell_targets(vi, vj, vk, t, q):
     if s2 >= high:
         return 0.5 * s1, 0.5 * s1
     lo, hi = 0.0, 0.5 * s1
+    # a fixed 48 steps, not kernel._bisect's run to float exhaustion
     for _ in range(48):
         mid = 0.5 * (lo + hi)
         if mid**q + (s1 - mid) ** q < s2:
@@ -709,17 +713,11 @@ def brute_force_oracle(params: BellmanParams, spec: TreeSpec, grid: int = 8) -> 
         return _finish_report(vals, params, spec, 0, 0, 1, 0, t0)
 
     if n == 2:
-        # the exact feasible set: x + y = 2f with (x^q + y^q)/2 = h
-        lo, hi = float(f), 2.0 * float(f)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if 0.5 * (mid**q + (2.0 * f - mid) ** q) >= h:
-                lo = mid
-            else:
-                hi = mid
-        x = 0.5 * (lo + hi)
+        # the exact feasible set: x + y = 2f with (x^q + y^q)/2 = h; h may
+        # sit within _require_feasible's slack below the curve's floor at
+        # x = 2f, so it is clamped there to keep the root bracketed
+        target = max(h, 0.5 * (2.0 * f) ** q)
+        x = _bisect(lambda x: target - 0.5 * (x**q + (2.0 * f - x) ** q), f, 2.0 * f)
         vals = np.array([x, 2.0 * f - x])
         return _finish_report(vals, params, spec, 1, 0, 1, 0, t0)
 

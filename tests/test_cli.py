@@ -11,7 +11,7 @@ import pytest
 from bklab.cli import UsageError, emit_report, main, render_json
 from bklab.dyadic import StepFunction, TreeSpec, maximal_function
 from bklab.kernel import BellmanParams
-from bklab.search import local_search
+from bklab.search import convergence_study, local_search
 from bklab.transforms import GAP_CSV_HEADER
 
 
@@ -135,6 +135,36 @@ class TestExitCodes:
         path.write_text("{not json")
         code, _, err = run_cli(capsys, "maximal", "--phi", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param({}, id="empty-object"),
+        pytest.param([1, 2], id="list"),
+        pytest.param({"m": 2, "pieces": [{"start": {"num": 0, "den_pow": 0},
+                                          "end": {"num": 1, "den_pow": 0}}]},
+                     id="piece-without-value"),
+        pytest.param({"m": 0, "pieces": [{"start": {"num": 0, "den_pow": 1},
+                                          "end": {"num": 1, "den_pow": 1},
+                                          "value": 1.0}]},
+                     id="m-0"),
+    ])
+    def test_domain_error_malformed_phi_document(self, capsys, tmp_path, doc):
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "maximal", "--phi", str(path))
+        assert code == 2
+        assert err.startswith("domain error:")
+
+    def test_domain_error_phi_finer_than_inferable(self, capsys, tmp_path):
+        cut = {"num": 1, "den_pow": 30}
+        doc = {"m": 2, "pieces": [
+            {"start": {"num": 0, "den_pow": 0}, "end": cut, "value": 1.0},
+            {"start": cut, "end": {"num": 1, "den_pow": 0}, "value": 2.0},
+        ]}
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "maximal", "--phi", str(path))
+        assert code == 2
+        assert "no leaf grid up to depth 24" in err
 
 
 class TestBellman:
@@ -438,6 +468,18 @@ class TestStudyCommand:
         assert len(lines) == 3
         gaps = [float(line.split(",")[3]) for line in lines[1:]]
         assert gaps[1] <= gaps[0] + 1e-9
+
+    def test_json_format_matches_library(self, capsys):
+        code, out, _ = run_cli(capsys, "study", "--q", "0.5", "--f", "1",
+                               "--h", "0.8", "--L", "1.2", "--depths", "1,2",
+                               "--budget", "200", "--restarts", "2",
+                               "--format", "json")
+        assert code == 0
+        got = json.loads(out)
+        reports = convergence_study(BellmanParams(q=0.5, f=1.0, h=0.8, L=1.2),
+                                    [1, 2], seed=0, budget=200, restarts=2)
+        assert [r["depth"] for r in got] == [1, 2]
+        assert [r["objective"] for r in got] == [r.objective for r in reports]
 
     def test_bad_depths(self, capsys):
         code, _, err = run_cli(capsys, "study", "--q", "0.5", "--f", "1",

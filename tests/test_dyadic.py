@@ -425,6 +425,37 @@ class TestClassicalInequalities:
         assert rec.lhs == 0.0 and rec.rhs == 0.0
 
 
+HALF = Fraction(1, 2)
+ONE = StepFunction.constant(1.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: TreeSpec(1, 2), id="TreeSpec-m-1"),
+    pytest.param(lambda: TreeSpec(2, -1), id="TreeSpec-depth-negative"),
+    pytest.param(lambda: TreeElement(-1, 0), id="TreeElement-depth-negative"),
+    pytest.param(lambda: ROOT.parent(2), id="root-parent"),
+    pytest.param(lambda: StepFunction((0, 1), (1, 2)), id="one-breakpoint-short"),
+    pytest.param(lambda: StepFunction((0, HALF), (1,)), id="ends-before-1"),
+    pytest.param(lambda: StepFunction((0, HALF, HALF, 1), (1, 2, 3)),
+                 id="repeated-breakpoint"),
+    pytest.param(lambda: StepFunction((0, 1), (float("nan"),)), id="nan-value"),
+    pytest.param(lambda: StepFunction.from_pieces([]), id="no-pieces"),
+    pytest.param(lambda: StepFunction.from_json_obj({"m": 1, "pieces": [
+        {"start": {"num": 0, "den_pow": 0}, "end": {"num": 1, "den_pow": 0},
+         "value": 1}]}), id="json-m-1"),
+    pytest.param(lambda: StepFunction.from_leaf_values([1], TreeSpec(2, 1)),
+                 id="leaf-count"),
+    pytest.param(lambda: ONE.value_at(1), id="value_at-1"),
+    pytest.param(lambda: ONE.integral_over(HALF, Fraction(1, 4)), id="reversed-interval"),
+    pytest.param(lambda: weak_type_gap(ONE, 0.0, TreeSpec(2, 2)), id="weak-type-lam-0"),
+    pytest.param(lambda: kolmogorov_gap(ONE, 0.5, [4], TreeSpec(2, 2)),
+                 id="kolmogorov-leaf-n"),
+])
+def test_input_checks_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 # (m, depth) with m in {2, 3, 4}, depth <= 6 and at most 64 leaves
 SHAPES = [(m, d) for m in (2, 3, 4) for d in range(7) if m**d <= 64]
 

@@ -379,3 +379,20 @@ class TestBellmanParams:
             BellmanParams(q=0.5, f=1.0, h=1.5, L=1.2)
         with pytest.raises(DomainError):
             BellmanParams(q=0.5, f=1.0, h=0.8, L=0.5)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: omega_q(0.5, 0.5), id="omega_q-z-below-1"),
+    pytest.param(lambda: chi_lambda(1.0, 0.5, 0.5), id="chi_lambda-lam-1"),
+    pytest.param(lambda: chi_lambda(1.25, 1.0, 0.5), id="chi_lambda-k-1"),
+    pytest.param(lambda: r_q_mu(0.0, 1.5, 0.5, 1.2), id="r_q_mu-k-0"),
+    pytest.param(lambda: r_q_mu(0.5, 1.5, 0.5, 0.5), id="r_q_mu-mu-below-1"),
+    pytest.param(lambda: ell_k(1.5, 0.5, 0.5, 1.0), id="ell_k-B-above-f"),
+    pytest.param(lambda: r_k(1.5, 0.5, 0.5, 1.0, 0.8), id="r_k-B-above-f"),
+    pytest.param(lambda: rho_interval(1.0, 0.5, 1.0, 0.8), id="rho_interval-k-1"),
+    pytest.param(lambda: rho_interval(0.5, 0.5, -1.0, 0.8), id="rho_interval-f-negative"),
+    pytest.param(lambda: rho_interval(0.5, 0.5, 1.0, 1.5), id="rho_interval-h-above-f^q"),
+])
+def test_input_checks_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

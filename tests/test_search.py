@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bklab import search
 from bklab.dyadic import StepFunction, TreeSpec, maximal_function
 from bklab.errors import (
     ComplexityGuardError,
+    ConvergenceError,
     DomainError,
     InfeasibleStartError,
 )
@@ -515,6 +517,13 @@ class TestBruteForceOracle:
         want = 0.5 * (max(max(x, y), 1.2) ** 0.5 + 1.2**0.5)
         assert rep.objective == pytest.approx(want, rel=1e-12)
 
+    def test_two_cell_floor_within_feasibility_slack(self):
+        # h a hair under the two-cell floor 2^(-1/2) passes the feasibility
+        # check's 1e-12 slack; the nearest function puts all mass in one cell
+        p = BellmanParams(q=0.5, f=1.0, h=2.0**-0.5 * (1.0 - 5e-13), L=1.2)
+        rep = brute_force_oracle(p, TreeSpec(2, 1))
+        assert leaf_array(rep.best_phi, TreeSpec(2, 1)).tolist() == [2.0, 0.0]
+
     def test_two_cell_infeasible_band(self):
         # two cells cannot push the q-mass below f^q 2^(q-1) = 0.7071
         p = BellmanParams(q=0.5, f=1.0, h=0.6, L=1.2)
@@ -570,6 +579,24 @@ class TestConvergenceStudy:
                 assert float(cells[6]) == pytest.approx(
                     rep.excess_b / rep.excess_k, rel=1e-15
                 )
+
+    @pytest.mark.parametrize("field", ["gap", "residual"])
+    @pytest.mark.parametrize("rise, raises", [(1.11, True), (1.10, False)])
+    def test_rise_above_ten_percent_raises(self, monkeypatch, field, rise, raises):
+        def fake_search(params, spec, **kwargs):
+            values = {"gap": 1.0, "residual": 1.0}
+            if spec.depth == 3:
+                values[field] = rise
+            return SimpleNamespace(depth=spec.depth, best_phi=StepFunction.constant(1.0),
+                                   **values)
+
+        monkeypatch.setattr(search, "local_search", fake_search)
+        if raises:
+            want = rf"^{field} rose from 1\.0 at depth 2 to 1\.11 at depth 3$"
+            with pytest.raises(ConvergenceError, match=want):
+                convergence_study(PARAMS, [2, 3])
+        else:
+            assert len(convergence_study(PARAMS, [2, 3])) == 2
 
     def test_csv_empty_excess_uses_nan(self):
         p = BellmanParams(q=0.5, f=1.0, h=1.0, L=1.2)

@@ -279,6 +279,16 @@ class TestVerifySuite:
         }
         assert len(rows) == rep.n_checks
 
+    @pytest.mark.parametrize("slack, violations", [(-2e-12, 5), (-1e-12, 0)])
+    def test_violation_means_slack_below_minus_1e12(self, monkeypatch, slack, violations):
+        # one function gets five weak-type levels, each given this slack
+        monkeypatch.setattr("bklab.transforms._weak_type_slack",
+                            lambda mvals, lvals, lam, spec: InequalityGap(lam, 0.0, slack))
+        rep = verify_suite(1, TreeSpec(2, 3), 0.5, n_beta=3, seed=0)
+        assert rep.n_violations == violations
+        assert rep.min_slack == slack
+        assert rep.min_slack_by_kind["weak_type"] == slack
+
     def test_csv_layout(self):
         spec = TreeSpec(2, 3)
         rows = []
@@ -533,6 +543,13 @@ class TestGPhi:
         phi = StepFunction.constant(1.0)
         with pytest.raises(DomainError):
             g_phi(phi, 1.0, 1.0, spec)
+
+    def test_rejects_negative_refine(self):
+        # phi's excess set is not two valued, so a refine grid would be used
+        spec = TreeSpec(2, 2)
+        phi = StepFunction.from_leaf_values([0, 12, 4, 1], spec)
+        with pytest.raises(DomainError):
+            g_phi(phi, 1, 0.5, spec, refine=-1)
 
     def test_excess_matches_excess_set(self):
         # g_phi finds the excess set on the levels it shares with its
