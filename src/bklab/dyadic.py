@@ -2,11 +2,11 @@
 
 The tree T consists of the intervals [j m^-d, (j+1) m^-d) for d = 0..N.  A
 StepFunction is piecewise constant with Fraction breakpoints; when its values
-are Fractions (or ints) every average below is computed in exact rational
-arithmetic, which is what makes the linearization identities testable to the
-bit.  Functions aligned to the leaf grid at depth N are exactly the ones the
-tree operations accept: for those, averages over elements deeper than N equal
-the function value, so truncating the supremum at depth N is lossless and
+are Fractions (or ints) every average below is exact, which is what makes
+the linearization identities testable to the bit.  Functions aligned to the
+leaf grid at depth N are exactly the ones the tree operations accept: for
+those, averages over elements deeper than N equal the function value, so
+truncating the supremum at depth N is lossless and
 
     (M phi)(x) = max over ancestors I of x, depth 0..N, of Av_I(phi).
 
@@ -18,10 +18,18 @@ All tree evaluators share one levels pass (``_levels``: every average from
 its m children, in index order) and one running max (``_running_max``: per
 leaf, the largest ancestor average and the shallowest depth attaining it),
 so M phi, the A-sets, the excess set and the inequality gaps agree to the bit.
+
+Exact functions are evaluated on integers.  With D the lcm of the value
+denominators, every leaf value times the scale D m^N is an integer multiple
+of m^N, so every element average times that one common scale is an integer
+as well, and the levels pass divides by m with ``//`` and no remainder.
+Fractions are built only for the values handed back to callers.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
@@ -122,6 +130,11 @@ def _as_value(v) -> Value:
     return val
 
 
+def _unscale(v, scale: int | None) -> Value:
+    """A level value as callers see it: a float as is, an integer off its exact scale."""
+    return v if scale is None else Fraction(v, scale)
+
+
 def _run_starts(values) -> list[int]:
     """Index of the first value of each run of equal values."""
     return [i for i, v in enumerate(values) if i == 0 or v != values[i - 1]]
@@ -164,6 +177,14 @@ class StepFunction:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _trusted(cls, breakpoints, values) -> "StepFunction":
+        """Build from Fraction breakpoints and values that are already checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "breakpoints", tuple(breakpoints))
+        object.__setattr__(self, "values", tuple(values))
+        return self
+
+    @classmethod
     def constant(cls, value) -> "StepFunction":
         return cls((0, 1), (value,))
 
@@ -189,16 +210,23 @@ class StepFunction:
         n = spec.n_leaves
         if len(vals) != n:
             raise DomainError(f"expected {n} leaf values, got {len(vals)}")
+        return cls._from_runs(vals, spec)
+
+    @classmethod
+    def _from_runs(cls, vals: list, spec: TreeSpec, scale: int | None = None) -> "StepFunction":
+        """One piece per run of equal, already checked leaf values (integers on scale if given)."""
+        n = spec.n_leaves
         starts = _run_starts(vals)
-        return cls([Fraction(i, n) for i in starts] + [1], [vals[i] for i in starts])
+        return cls._trusted([Fraction(i, n) for i in starts] + [Fraction(1)],
+                            [_unscale(vals[i], scale) for i in starts])
 
     # -- basic structure ------------------------------------------------
 
     def simplify(self) -> "StepFunction":
         """Merge adjacent pieces with equal values."""
         starts = _run_starts(self.values)
-        return StepFunction([self.breakpoints[i] for i in starts] + [1],
-                            [self.values[i] for i in starts])
+        return StepFunction._trusted([self.breakpoints[i] for i in starts] + [Fraction(1)],
+                                     [self.values[i] for i in starts])
 
     @property
     def is_exact(self) -> bool:
@@ -206,7 +234,9 @@ class StepFunction:
 
     def to_exact(self) -> "StepFunction":
         """Promote float values to exact Fractions (floats are dyadic rationals)."""
-        return StepFunction(self.breakpoints, [Fraction(v) for v in self.values])
+        if self.is_exact:
+            return self
+        return StepFunction._trusted(self.breakpoints, [Fraction(v) for v in self.values])
 
     def value_at(self, x) -> Value:
         x = Fraction(x)
@@ -332,13 +362,17 @@ class StepFunction:
 def _levels(leaves: list, m: int) -> list[list]:
     """Averages over every element, [depth][index], built from the leaf row up.
 
-    Each average sums its m children in index order, then divides by m; the
-    same arithmetic serves float and Fraction leaves.
+    Each average sums its m children in index order, then divides by m.
+    Float leaves give float averages.  Integer leaves are the exact
+    representation: all on one common scale and each a multiple of m^N (see
+    _tree_levels), so every block sum divides by m with ``//`` and no
+    remainder, and every average is an integer on that same scale.
     """
+    div = operator.floordiv if isinstance(leaves[0], int) else operator.truediv
     levels = [leaves]
     while len(levels[0]) > 1:
         below = levels[0]
-        levels.insert(0, [sum(below[j:j + m]) / m for j in range(0, len(below), m)])
+        levels.insert(0, [div(sum(below[j:j + m]), m) for j in range(0, len(below), m)])
     return levels
 
 
@@ -358,22 +392,40 @@ def _running_max(levels: list[list], m: int) -> tuple[list, list[int]]:
     return best, depth
 
 
+def _tree_levels(phi: StepFunction, spec: TreeSpec) -> tuple[list[list], int | None]:
+    """Averages levels of phi, [depth][index], and the scale they are on.
+
+    A function with any float value gives float levels (every leaf is made a
+    float first) and scale None.  An exact one gives integer levels on the
+    scale D m^N, D the lcm of its value denominators: the average over
+    element (d, j) is exactly levels[d][j] / scale.  Requires leaf alignment.
+    """
+    if not phi.is_exact:
+        return _levels([float(v) for v in phi.leaf_values(spec)], spec.m), None
+    scale = math.lcm(*(v.denominator for v in phi.values)) * spec.n_leaves
+    leaves = [v.numerator * (scale // v.denominator) for v in phi.leaf_values(spec)]
+    return _levels(leaves, spec.m), scale
+
+
 def tree_averages(phi: StepFunction, spec: TreeSpec) -> list[list[Value]]:
     """Averages of phi over every element, indexed [depth][index].
 
-    Exact when phi has Fraction values; otherwise every leaf is made a float
-    first.  Requires leaf alignment.
+    Fractions when phi has Fraction values; otherwise every leaf is made a
+    float first.  Requires leaf alignment.
     """
-    leaves = phi.leaf_values(spec)
-    if not phi.is_exact:
-        leaves = [float(v) for v in leaves]
-    return _levels(leaves, spec.m)
+    levels, scale = _tree_levels(phi, spec)
+    if scale is None:
+        return levels
+    return [[Fraction(v, scale) for v in row] for row in levels]
 
 
 def maximal_function(phi: StepFunction, spec: TreeSpec) -> StepFunction:
     """M phi as a step function on the same leaf grid; exact in rational mode."""
-    best = _running_max(tree_averages(phi, spec), spec.m)[0]
-    return StepFunction.from_leaf_values(best, spec)
+    levels, scale = _tree_levels(phi, spec)
+    best = _running_max(levels, spec.m)[0]
+    if scale is None:
+        return StepFunction.from_leaf_values(best, spec)
+    return StepFunction._from_runs(best, spec, scale)
 
 
 def is_t_good(phi: StepFunction, spec: TreeSpec) -> bool:
@@ -422,11 +474,11 @@ class Linearization:
 
 def linearize(phi: StepFunction, spec: TreeSpec) -> Linearization:
     """Distinguished family of phi by the shallowest-attaining-ancestor rule."""
-    return _linearize(tree_averages(phi, spec), spec)
+    return _linearize(*_tree_levels(phi, spec), spec)
 
 
-def _linearize(levels: list[list], spec: TreeSpec) -> Linearization:
-    """linearize over the averages levels of tree_averages."""
+def _linearize(levels: list[list], scale: int | None, spec: TreeSpec) -> Linearization:
+    """linearize over the levels of _tree_levels and their scale."""
     m, N = spec.m, spec.depth
 
     # the A-sets, star walk and ordering work on (depth, index) keys; one
@@ -444,13 +496,13 @@ def _linearize(levels: list[list], spec: TreeSpec) -> Linearization:
             up = elements.get((d, j))
         star[el] = up
 
-    w = spec.leaf_measure
+    n = spec.n_leaves
     return Linearization(
         spec=spec,
         elements=tuple(elements.values()),
-        averages={el: levels[d][j] for (d, j), el in elements.items()},
+        averages={el: _unscale(levels[d][j], scale) for (d, j), el in elements.items()},
         a_sets={el: tuple(groups[key]) for key, el in elements.items()},
-        weights={el: w * len(groups[key]) for key, el in elements.items()},
+        weights={el: Fraction(len(groups[key]), n) for key, el in elements.items()},
         star=star,
     )
 
@@ -462,7 +514,7 @@ def s_phi_by_criterion(phi: StepFunction, spec: TreeSpec) -> frozenset[TreeEleme
     Av_J(phi) < Av_I(phi); the root always belongs.  Independent of
     linearize(), which goes through the A-sets.
     """
-    levels = tree_averages(phi, spec)
+    levels = _tree_levels(phi, spec)[0]  # comparisons only: any common scale serves
     m = spec.m
     out = {ROOT}
     prev = [None]
@@ -500,19 +552,28 @@ def excess_set(phi: StepFunction, L, spec: TreeSpec, q: float) -> ExcessSet:
     The union of the returned elements equals {M phi >= L} exactly at leaf
     resolution.  B >= k L whenever the set is nonempty.
     """
-    return _excess_from_levels(tree_averages(phi, spec), L, spec, q, phi.is_exact)
+    return _excess_from_levels(*_tree_levels(phi, spec), L, spec, q)
 
 
-def _excess_from_levels(levels: list[list], L, spec: TreeSpec, q: float,
-                        exact: bool) -> ExcessSet:
-    """excess_set over the averages levels of tree_averages; exact for Fraction levels."""
+def _scaled_threshold(L, scale: int) -> int:
+    """Least integer t with t / scale >= L: a level on scale is >= L iff it is >= t."""
+    L = Fraction(L)
+    return -(-L.numerator * scale // L.denominator)
+
+
+def _excess_from_levels(levels: list[list], scale: int | None, L, spec: TreeSpec,
+                        q: float) -> ExcessSet:
+    """excess_set over the levels of _tree_levels and their scale."""
+    if L != L or L in (math.inf, -math.inf):
+        raise DomainError(f"threshold L must be finite, got {L}")
     m, N = spec.m, spec.depth
+    bar = L if scale is None else _scaled_threshold(L, scale)
     chosen: list[TreeElement] = []
 
     stack = [ROOT]
     while stack:
         el = stack.pop()
-        if levels[el.depth][el.index] >= L:
+        if levels[el.depth][el.index] >= bar:
             chosen.append(el)
         elif el.depth < N:
             stack.extend(reversed(el.children(m)))
@@ -523,9 +584,14 @@ def _excess_from_levels(levels: list[list], L, spec: TreeSpec, q: float,
         leaves.extend(el.leaf_range(spec))
     leaf_vals = levels[-1]
     w = spec.leaf_measure
+    fw = float(w)
     measure = w * len(leaves)
-    mass = sum((leaf_vals[i] * w for i in leaves), start=Fraction(0) if exact else 0.0)
-    q_mass = float(sum(float(leaf_vals[i]) ** q * float(w) for i in leaves))
+    if scale is None:
+        mass = sum((leaf_vals[i] * fw for i in leaves), start=0.0)
+        q_mass = float(sum(leaf_vals[i] ** q * fw for i in leaves))
+    else:
+        mass = Fraction(sum(leaf_vals[i] for i in leaves), scale * spec.n_leaves)
+        q_mass = float(sum((leaf_vals[i] / scale) ** q * fw for i in leaves))
     return ExcessSet(
         elements=tuple(chosen),
         measure=measure,

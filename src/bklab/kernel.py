@@ -181,10 +181,10 @@ def r_q_mu(k: float, x: float, q: float, mu: float) -> float:
 
 
 def _check_fh(q: float, f: float, h: float) -> None:
-    """Admissible moments: 0 < q < 1, f > 0 and 0 < h <= f^q (Hoelder)."""
+    """Admissible moments: 0 < q < 1, finite f > 0 and 0 < h <= f^q (Hoelder)."""
     _check_q(q)
-    if f <= 0.0:
-        raise DomainError(f"need f > 0, got {f}")
+    if not (0.0 < f < math.inf):
+        raise DomainError(f"need finite f > 0, got {f}")
     if not (0.0 < h <= f**q * (1.0 + 1e-12)):
         raise DomainError(f"need 0 < h <= f^q = {f**q}, got h={h}")
 
@@ -296,8 +296,8 @@ class BellmanParams:
 
     def __post_init__(self) -> None:
         _check_fh(self.q, self.f, self.h)
-        if self.L < self.f:
-            raise DomainError(f"need L >= f, got L={self.L} < f={self.f}")
+        if not (self.f <= self.L < math.inf):
+            raise DomainError(f"need finite L >= f, got L={self.L}, f={self.f}")
 
     @property
     def lam(self) -> float:

@@ -42,6 +42,8 @@ from .dyadic import (
     _levels,
     _linearize,
     _running_max,
+    _scaled_threshold,
+    _tree_levels,
     _weak_type_slack,
     linearize,
     tree_averages,
@@ -303,71 +305,99 @@ def g_phi(phi: StepFunction, L, q: float, spec: TreeSpec,
     grid = spec.m**refine
 
     work = phi.to_exact()
-    levels = tree_averages(work, spec)  # one exact pass serves both below
-    lin = _linearize(levels, spec)
-    exc = _excess_from_levels(levels, L, spec, q, exact=True)
-    leaf_vals = levels[-1]
-    w = spec.leaf_measure
+    levels, scale = _tree_levels(work, spec)  # one exact pass serves both below
+    lin = _linearize(levels, scale, spec)
+    exc = _excess_from_levels(levels, scale, L, spec, q)
+    bar = _scaled_threshold(L, scale)
+    leaf_vals = levels[-1]  # phi on leaf i is leaf_vals[i] / scale
+    n = spec.n_leaves
+    # lengths are integers in units of 1/unit, the finer of the leaf and refine grids
+    unit = spec.m ** max(refine, spec.depth)
+    cell = unit // n
+    fw = 1 / n
 
     entries: list[GPhiEntry] = []
-    cut: dict[int, tuple[Fraction, Fraction]] = {}  # excess leaf -> (c, support length)
+    cut: dict[int, tuple[Fraction, int]] = {}  # excess leaf -> (c, support length)
     for el in lin.elements:
         idxs = lin.a_sets[el]
-        if not idxs or lin.averages[el] < L:
+        if not idxs or levels[el.depth][el.index] < bar:
             continue
         vals = [leaf_vals[i] for i in idxs]
-        a = w * sum(vals)
-        b = sum(float(v) ** q * float(w) for v in vals)
+        a = Fraction(sum(vals), scale * n)
+        b = sum((v / scale) ** q * fw for v in vals)
         positive = [v for v in vals if v > 0]
-        pos = w * len(positive)
+        pos = cell * len(positive)
         if len(set(positive)) <= 1:
             # zero or already two valued on this set: phi itself is the solution
             gamma = pos
         else:
             gamma_f = (b / float(a) ** q) ** (1.0 / (1.0 - q))
-            # snap half up: a support of exactly half a grid cell must survive
-            snapped = Fraction(math.floor(Fraction(gamma_f) * grid + Fraction(1, 2)), grid)
-            gamma = min(pos, snapped)
+            # snap half up, floor(gamma_f grid + 1/2): a support of exactly half
+            # a grid cell must survive
+            p, r = gamma_f.as_integer_ratio()
+            gamma = min(pos, (2 * p * grid + r) // (2 * r) * (unit // grid))
             if gamma <= 0:
                 raise RefinementTooCoarseError(
                     f"support measure {gamma_f} of {el} vanishes on the m^-{refine} grid"
                 )
-        c = a / gamma if gamma else a
-        # pack the support from the left; gamma <= pos <= |A| w, so it fits
+        c = Fraction(sum(vals) * unit, scale * n * gamma) if gamma else a
+        # pack the support from the left; gamma <= pos <= |A| cell, so it fits
         support = []
         remaining = gamma
         for i in idxs:
-            take = min(w, remaining)
+            take = min(cell, remaining)
             remaining -= take
             cut[i] = (c, take)
             if take > 0:
-                support.append((w * i, w * i + take))
-        entries.append(GPhiEntry(el, c, gamma, tuple(support), a, b))
+                support.append((Fraction(i * cell, unit), Fraction(i * cell + take, unit)))
+        entries.append(GPhiEntry(el, c, Fraction(gamma, unit), tuple(support), a, b))
 
     # one ordered walk over the leaves: c on the support, then 0; phi elsewhere
-    bps: list[Fraction] = []
+    starts: list[int] = []
     values: list[Fraction] = []
+    zero = Fraction(0)
     for i, v in enumerate(leaf_vals):
-        c, take = cut.get(i, (v, w))
-        for start, value, length in ((w * i, c, take), (w * i + take, Fraction(0), w - take)):
+        c, take = cut[i] if i in cut else (Fraction(v, scale), cell)
+        for start, value, length in ((i * cell, c, take), (i * cell + take, zero, cell - take)):
             if length > 0 and (not values or value != values[-1]):
-                bps.append(start)
+                starts.append(start)
                 values.append(value)
-    g = StepFunction(bps + [Fraction(1)], values)
+    g = StepFunction._trusted([Fraction(s, unit) for s in starts] + [Fraction(1)], values)
     record = GPhiRecord(entries=tuple(entries), excess=exc, refine=refine)
     return g, record
 
 
-def leaf_integrals(g: StepFunction, spec: TreeSpec) -> list:
-    """Integral of g over each depth-N leaf, by one sweep over the pieces."""
+def _leaf_integrals(g: StepFunction, spec: TreeSpec) -> tuple[list, int | None]:
+    """Integral of g over each depth-N leaf, by one sweep over the pieces.
+
+    Overlaps are integer lengths in units of 1/unit, unit the lcm of m^N and
+    the breakpoint denominators.  An exact g gives integers on the scale
+    D unit, D the lcm of its value denominators; any other g gives floats
+    (every value made a float first) and scale None.
+    """
     n = spec.n_leaves
-    out = [Fraction(0) if g.is_exact else 0.0] * n
-    for v, a, b in zip(g.values, g.breakpoints, g.breakpoints[1:]):
-        # leaves floor(a n) .. ceil(b n) - 1 meet [a, b) in positive length
-        for i in range(math.floor(a * n), math.ceil(b * n)):
-            lo, hi = max(a, Fraction(i, n)), min(b, Fraction(i + 1, n))
-            out[i] += v * (hi - lo)
-    return out
+    unit = math.lcm(n, *(b.denominator for b in g.breakpoints))
+    cell = unit // n
+    ends = [b.numerator * (unit // b.denominator) for b in g.breakpoints]
+    exact = g.is_exact
+    if exact:
+        den = math.lcm(*(v.denominator for v in g.values))
+        coefs = [v.numerator * (den // v.denominator) for v in g.values]
+    else:
+        coefs = [float(v) for v in g.values]
+    out = [0 if exact else 0.0] * n
+    for v, a, b in zip(coefs, ends, ends[1:]):
+        # leaves a // cell .. ceil(b / cell) - 1 meet [a, b) in positive length
+        for i in range(a // cell, -(-b // cell)):
+            length = min(b, (i + 1) * cell) - max(a, i * cell)
+            out[i] += v * length if exact else v * (length / unit)
+    return out, den * unit if exact else None
+
+
+def leaf_integrals(g: StepFunction, spec: TreeSpec) -> list:
+    """Integral of g over each depth-N leaf; Fractions when g's values are."""
+    out, scale = _leaf_integrals(g, spec)
+    return out if scale is None else [Fraction(v, scale) for v in out]
 
 
 def ancestor_max_averages(g: StepFunction, spec: TreeSpec) -> list:
@@ -375,11 +405,13 @@ def ancestor_max_averages(g: StepFunction, spec: TreeSpec) -> list:
 
     Works for functions that are not leaf aligned (the leaf averages are the
     leaf integrals times m^N); for aligned ones this is exactly the maximal
-    function at leaf resolution.
+    function at leaf resolution.  On an exact g the leaf averages are integer
+    multiples of m^N on the scale of _leaf_integrals, as _levels needs.
     """
+    out, scale = _leaf_integrals(g, spec)
     n = spec.n_leaves
-    levels = _levels([v * n for v in leaf_integrals(g, spec)], spec.m)
-    return _running_max(levels, spec.m)[0]
+    best = _running_max(_levels([v * n for v in out], spec.m), spec.m)[0]
+    return best if scale is None else [Fraction(v, scale) for v in best]
 
 
 # -- randomized verification harness ------------------------------------

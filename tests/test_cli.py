@@ -120,6 +120,26 @@ class TestExitCodes:
         assert code == 2
         assert "f^q n^(q-1)" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("bellman", "--f", "1", "--L", "nan"),
+        ("bellman", "--f", "1", "--L", "inf"),
+        ("bellman", "--f", "inf", "--L", "inf"),
+        ("search", "--f", "1", "--L", "nan", "--N", "4", "--budget", "1"),
+    ])
+    def test_domain_error_non_finite_data(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--q", "0.5", "--h", "0.8")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_domain_error_non_finite_gphi_threshold(self, capsys, tmp_path):
+        path, _, _ = write_phi(tmp_path, [0, 12, 4, 1])
+        code, out, err = run_cli(capsys, "gphi", "--phi", str(path), "--q", "0.5",
+                                 "--L", "nan")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_io_error_missing_phi(self, capsys):
         code, _, err = run_cli(capsys, "maximal", "--phi", "/no/such/file.json")
         assert code == 4

@@ -4,6 +4,9 @@ The brute-force reference for M phi recomputes every ancestor average through
 integral_over, bypassing the level-by-level recursion under test.
 """
 
+import hashlib
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +31,12 @@ from bklab.dyadic import (
 )
 from bklab.errors import DomainError, NotTGoodError
 from bklab.search import leaf_maximal
+from bklab.transforms import (
+    ancestor_max_averages,
+    g_phi,
+    leaf_integrals,
+    random_step_function,
+)
 
 
 def brute_maximal(phi, spec):
@@ -450,6 +459,9 @@ ONE = StepFunction.constant(1.0)
     pytest.param(lambda: weak_type_gap(ONE, 0.0, TreeSpec(2, 2)), id="weak-type-lam-0"),
     pytest.param(lambda: kolmogorov_gap(ONE, 0.5, [4], TreeSpec(2, 2)),
                  id="kolmogorov-leaf-n"),
+    pytest.param(lambda: excess_set(ONE, math.nan, TreeSpec(2, 2), 0.5), id="excess-L-nan"),
+    pytest.param(lambda: excess_set(ONE.to_exact(), math.inf, TreeSpec(2, 2), 0.5),
+                 id="excess-L-inf"),
 ])
 def test_input_checks_raise_domain_error(call):
     with pytest.raises(DomainError):
@@ -492,3 +504,97 @@ class TestProperties:
         assert lin.maximal_from_parts() == maximal_function(phi, spec)
         assert frozenset(lin.elements) == s_phi_by_criterion(phi, spec)
         assert sum(lin.weights.values()) == 1
+
+
+# exact leaf values: small denominators, zeros, and floats (dyadic rationals)
+# from the subnormal 5e-324 up to 1e300, so the common scale spans ~3400 bits
+CORE_VALUES = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(0, 50, max_denominator=12),
+    st.sampled_from([5e-324, 1e300, 0.1, 2.0**-60]).map(Fraction),
+    st.floats(0.0, 1e300).map(Fraction),
+)
+CORE_SHAPES = [(m, d) for m in (2, 3, 4) for d in range(6) if m**d <= 64]
+
+
+@st.composite
+def core_functions(draw):
+    m, depth = draw(st.sampled_from(CORE_SHAPES))
+    spec = TreeSpec(m, depth)
+    vals = draw(st.lists(CORE_VALUES, min_size=spec.n_leaves, max_size=spec.n_leaves))
+    return StepFunction.from_leaf_values(vals, spec), spec
+
+
+@st.composite
+def unaligned_functions(draw):
+    """Exact g with breakpoints on a grid unrelated to the tree's (thirds, sevenths)."""
+    m, depth = draw(st.sampled_from(CORE_SHAPES))
+    den = draw(st.sampled_from([3, 7, 12, 2**depth * 5]))
+    cuts = draw(st.sets(st.integers(1, den - 1), max_size=8))
+    bps = [Fraction(0)] + [Fraction(k, den) for k in sorted(cuts)] + [Fraction(1)]
+    vals = draw(st.lists(CORE_VALUES, min_size=len(bps) - 1, max_size=len(bps) - 1))
+    return StepFunction(bps, vals), TreeSpec(m, depth)
+
+
+class TestExactCore:
+    def test_to_exact_keeps_exact_function(self):
+        spec = TreeSpec(2, 2)
+        phi = StepFunction.from_leaf_values([1, Fraction(1, 3), 0, 2], spec)
+        assert phi.to_exact() is phi
+        promoted = StepFunction.from_leaf_values([0.5, 0.1, 0.0, 2.0], spec).to_exact()
+        assert promoted.values == (Fraction(1, 2), Fraction(0.1), Fraction(0), Fraction(2))
+        assert promoted.breakpoints == tuple(Fraction(i, 4) for i in range(5))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(core_functions())
+    def test_tree_averages_match_block_fractions(self, case):
+        phi, spec = case
+        leaves = phi.leaf_values(spec)
+        levels = tree_averages(phi, spec)
+        for d, row in enumerate(levels):
+            width = spec.m ** (spec.depth - d)
+            assert len(row) == spec.m**d
+            for j, avg in enumerate(row):
+                block = leaves[j * width:(j + 1) * width]
+                assert type(avg) is Fraction
+                assert avg == Fraction(sum(block), len(block))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(unaligned_functions())
+    def test_ancestor_max_matches_direct_fractions(self, case):
+        g, spec = case
+        got = ancestor_max_averages(g, spec)
+        assert all(type(v) is Fraction for v in got)
+        assert got == brute_maximal(g, spec)
+
+    def test_outputs_pinned(self):
+        # recorded while every exact average was a Fraction computed per node;
+        # repr carries each value's type, so Fraction(3) and 3 pin differently
+        digest = hashlib.sha256()
+
+        def pin(*parts):
+            digest.update(repr(parts).encode())
+
+        rng = random.Random(57)
+        calls = 0
+        for m, depth in ((2, 6), (3, 4), (4, 3), (2, 1), (2, 0)):
+            spec = TreeSpec(m, depth)
+            for exact in (True, False, True, False):
+                phi = random_step_function(rng, spec, exact=exact).to_exact()
+                top = max(phi.leaf_values(spec))
+                pin(tree_averages(phi, spec))
+                lin = linearize(phi, spec)
+                pin(lin.spec, lin.elements, sorted(lin.averages.items()),
+                    sorted(lin.a_sets.items()), sorted(lin.weights.items()),
+                    sorted(lin.star.items(), key=lambda kv: kv[0]))
+                mphi = maximal_function(phi, spec)
+                pin(mphi.breakpoints, mphi.values, sorted(s_phi_by_criterion(phi, spec)))
+                for L in (Fraction(5, 2), 1.2, top / 2, top):
+                    calls += 1
+                    exc = excess_set(phi, L, spec, 0.5)
+                    pin(exc.elements, exc.measure, exc.mass, exc.q_mass, exc.leaves)
+                    g, _ = g_phi(phi, L, 0.5, spec)
+                    pin(leaf_integrals(g, spec), ancestor_max_averages(g, spec))
+        assert calls == 80
+        assert digest.hexdigest() == (
+            "b11b420dc40344d0206113e787cdc51a1c5e7bf8c8638c08466255dc3f2cf908")

@@ -392,6 +392,12 @@ class TestBellmanParams:
     pytest.param(lambda: rho_interval(1.0, 0.5, 1.0, 0.8), id="rho_interval-k-1"),
     pytest.param(lambda: rho_interval(0.5, 0.5, -1.0, 0.8), id="rho_interval-f-negative"),
     pytest.param(lambda: rho_interval(0.5, 0.5, 1.0, 1.5), id="rho_interval-h-above-f^q"),
+    pytest.param(lambda: rho_interval(0.5, 0.5, math.inf, 0.8), id="rho_interval-f-inf"),
+    pytest.param(lambda: BellmanParams(0.5, 1.0, 0.8, math.nan), id="BellmanParams-L-nan"),
+    pytest.param(lambda: BellmanParams(0.5, 1.0, 0.8, math.inf), id="BellmanParams-L-inf"),
+    pytest.param(lambda: BellmanParams(0.5, math.inf, 0.8, math.inf),
+                 id="BellmanParams-f-inf"),
+    pytest.param(lambda: bellman_value(0.5, 1.0, 0.8, math.nan), id="bellman_value-L-nan"),
 ])
 def test_input_checks_raise_domain_error(call):
     with pytest.raises(DomainError):
