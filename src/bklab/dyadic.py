@@ -23,11 +23,13 @@ Exact functions are evaluated on integers.  With D the lcm of the value
 denominators, every leaf value times the scale D m^N is an integer multiple
 of m^N, so every element average times that one common scale is an integer
 as well, and the levels pass divides by m with ``//`` and no remainder.
-Fractions are built only for the values handed back to callers.
+Fractions are built only for the values handed back to callers, floats as
+v / scale.  A float block sum past 1.8e308 raises DomainError; to_exact() has no limit.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -133,6 +135,11 @@ def _as_value(v) -> Value:
 def _unscale(v, scale: int | None) -> Value:
     """A level value as callers see it: a float as is, an integer off its exact scale."""
     return v if scale is None else Fraction(v, scale)
+
+
+def _unscale_floats(vals: list, scale: int | None) -> list[float]:
+    """Level values as floats: float levels as they are, integers off their scale rounded once."""
+    return vals if scale is None else [v / scale for v in vals]
 
 
 def _run_starts(values) -> list[int]:
@@ -242,14 +249,8 @@ class StepFunction:
         x = Fraction(x)
         if not (0 <= x < 1):
             raise DomainError(f"point {x} outside [0, 1)")
-        lo, hi = 0, len(self.values) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.breakpoints[mid] <= x:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.values[lo]
+        # breakpoints[0] = 0 <= x < 1 = breakpoints[-1], so the piece index is in range
+        return self.values[bisect.bisect_right(self.breakpoints, x) - 1]
 
     def is_leaf_aligned(self, spec: TreeSpec) -> bool:
         n = spec.n_leaves
@@ -395,13 +396,16 @@ def _running_max(levels: list[list], m: int) -> tuple[list, list[int]]:
 def _tree_levels(phi: StepFunction, spec: TreeSpec) -> tuple[list[list], int | None]:
     """Averages levels of phi, [depth][index], and the scale they are on.
 
-    A function with any float value gives float levels (every leaf is made a
-    float first) and scale None.  An exact one gives integer levels on the
-    scale D m^N, D the lcm of its value denominators: the average over
-    element (d, j) is exactly levels[d][j] / scale.  Requires leaf alignment.
+    Float values give float levels (every leaf made a float first) and scale
+    None, or DomainError past the float maximum.  Exact values give integer
+    levels on the scale D m^N, D the lcm of the value denominators: the average
+    over element (d, j) is exactly levels[d][j] / scale.  Requires leaf alignment.
     """
     if not phi.is_exact:
-        return _levels([float(v) for v in phi.leaf_values(spec)], spec.m), None
+        levels = _levels([float(v) for v in phi.leaf_values(spec)], spec.m)
+        if levels[0][0] == math.inf:  # values are nonnegative: any overflow reaches the root
+            raise DomainError("float block sum overflows past 1.8e308; pass phi.to_exact()")
+        return levels, None
     scale = math.lcm(*(v.denominator for v in phi.values)) * spec.n_leaves
     leaves = [v.numerator * (scale // v.denominator) for v in phi.leaf_values(spec)]
     return _levels(leaves, spec.m), scale
@@ -414,18 +418,13 @@ def tree_averages(phi: StepFunction, spec: TreeSpec) -> list[list[Value]]:
     float first.  Requires leaf alignment.
     """
     levels, scale = _tree_levels(phi, spec)
-    if scale is None:
-        return levels
-    return [[Fraction(v, scale) for v in row] for row in levels]
+    return [[_unscale(v, scale) for v in row] for row in levels]
 
 
 def maximal_function(phi: StepFunction, spec: TreeSpec) -> StepFunction:
     """M phi as a step function on the same leaf grid; exact in rational mode."""
     levels, scale = _tree_levels(phi, spec)
-    best = _running_max(levels, spec.m)[0]
-    if scale is None:
-        return StepFunction.from_leaf_values(best, spec)
-    return StepFunction._from_runs(best, spec, scale)
+    return StepFunction._from_runs(_running_max(levels, spec.m)[0], spec, scale)
 
 
 def is_t_good(phi: StepFunction, spec: TreeSpec) -> bool:
@@ -585,7 +584,6 @@ def _excess_from_levels(levels: list[list], scale: int | None, L, spec: TreeSpec
     leaf_vals = levels[-1]
     w = spec.leaf_measure
     fw = float(w)
-    measure = w * len(leaves)
     if scale is None:
         mass = sum((leaf_vals[i] * fw for i in leaves), start=0.0)
         q_mass = float(sum(leaf_vals[i] ** q * fw for i in leaves))
@@ -594,7 +592,7 @@ def _excess_from_levels(levels: list[list], scale: int | None, L, spec: TreeSpec
         q_mass = float(sum((leaf_vals[i] / scale) ** q * fw for i in leaves))
     return ExcessSet(
         elements=tuple(chosen),
-        measure=measure,
+        measure=w * len(leaves),
         mass=mass,
         q_mass=q_mass,
         leaves=tuple(leaves),
@@ -619,35 +617,38 @@ class InequalityGap:
 
 def weak_type_gap(phi: StepFunction, lam: float, spec: TreeSpec) -> InequalityGap:
     """mu({M phi > lam}) <= (1/lam) integral of phi over {M phi > lam}."""
-    levels = tree_averages(phi, spec)
-    return _weak_type_slack(_running_max(levels, spec.m)[0], levels[-1], lam, spec)
+    levels, scale = _tree_levels(phi, spec)
+    lvals = _unscale_floats(levels[-1], scale)
+    return _weak_type_slack(_running_max(levels, spec.m)[0], lvals, lam, spec, scale)
 
 
-def _weak_type_slack(mvals, leaf_vals, lam, spec: TreeSpec) -> InequalityGap:
-    """weak_type_gap from the leaf values of M phi and of phi."""
-    if lam <= 0:
-        raise DomainError(f"weak-type level must be positive, got {lam}")
+def _weak_type_slack(mvals, leaf_vals, lam, spec: TreeSpec, scale=None) -> InequalityGap:
+    """weak_type_gap from the leaf values of M phi, on scale if given, and of phi as floats."""
+    if not 0 < lam < math.inf:
+        raise DomainError(f"weak-type level must be finite and positive, got {lam}")
+    # an integer v on scale has v / scale > lam iff v > floor(lam scale), exactly
+    bar = lam if scale is None else math.floor(Fraction(lam) * scale)
     w = float(spec.leaf_measure)
-    idx = [i for i in range(spec.n_leaves) if mvals[i] > lam]
-    lhs = w * len(idx)
-    rhs = sum(float(leaf_vals[i]) for i in idx) * w / float(lam)
-    return InequalityGap(beta=lam, lhs=lhs, rhs=rhs)
+    idx = [i for i in range(spec.n_leaves) if mvals[i] > bar]
+    rhs = sum(leaf_vals[i] for i in idx) * w / float(lam)
+    return InequalityGap(beta=lam, lhs=w * len(idx), rhs=rhs)
 
 
 def kolmogorov_gap(phi: StepFunction, q: float, leaves, spec: TreeSpec) -> InequalityGap:
     """integral_E (M phi)^q <= (1-q)^-1 mu(E)^(1-q) ||phi||_1^q for any leaf union E."""
-    return _kolmogorov_slack(_running_max(tree_averages(phi, spec), spec.m)[0],
-                             float(phi.integral()), q, leaves, spec)
+    levels, scale = _tree_levels(phi, spec)
+    mvals = _unscale_floats(_running_max(levels, spec.m)[0], scale)
+    return _kolmogorov_slack(mvals, float(phi.integral()), q, leaves, spec)
 
 
 def _kolmogorov_slack(mvals, norm1: float, q: float, leaves, spec: TreeSpec) -> InequalityGap:
-    """kolmogorov_gap from the leaf values of M phi and norm1 = ||phi||_1."""
+    """kolmogorov_gap from the float leaf values of M phi and norm1 = ||phi||_1."""
     _check_q(q)
     leaves = sorted(set(leaves))
     if leaves and not (0 <= leaves[0] and leaves[-1] < spec.n_leaves):
         raise DomainError("leaf indices out of range")
     w = float(spec.leaf_measure)
-    lhs = sum(float(mvals[i]) ** q for i in leaves) * w
+    lhs = sum(mvals[i] ** q for i in leaves) * w
     mu_e = w * len(leaves)
     rhs = mu_e ** (1.0 - q) * norm1 ** q / (1.0 - q)
     return InequalityGap(beta=mu_e, lhs=lhs, rhs=rhs)

@@ -44,9 +44,9 @@ from .dyadic import (
     _running_max,
     _scaled_threshold,
     _tree_levels,
+    _unscale_floats,
     _weak_type_slack,
     linearize,
-    tree_averages,
 )
 from .errors import (
     DomainError,
@@ -63,9 +63,10 @@ def objective(phi: StepFunction, L: float, q: float, spec: TreeSpec) -> float:
     """integral of max(M phi, L)^q over [0, 1)."""
     if L <= 0:
         raise DomainError(f"threshold L must be positive, got {L}")
-    mvals = _running_max(tree_averages(phi, spec), spec.m)[0]
+    levels, scale = _tree_levels(phi, spec)
+    mvals = _unscale_floats(_running_max(levels, spec.m)[0], scale)
     w = float(spec.leaf_measure)
-    return sum(max(float(v), L) ** q for v in mvals) * w
+    return sum(max(v, L) ** q for v in mvals) * w
 
 
 @dataclass(frozen=True)
@@ -86,14 +87,13 @@ def eigen_residual(phi: StepFunction, params: BellmanParams, spec: TreeSpec) -> 
     """Theorem-style extremality defect of phi for the given problem data."""
     q, L = params.q, params.L
     root = params.eigenvalue_root
-    levels = tree_averages(phi, spec)
-    mvals, lvals = _running_max(levels, spec.m)[0], levels[-1]
+    levels, scale = _tree_levels(phi, spec)
     w = float(spec.leaf_measure)
     inside = 0.0
     outside = 0.0
     k = 0
-    for mv, lv in zip(mvals, lvals):
-        mv, lv = float(mv), float(lv)
+    mvals = _unscale_floats(_running_max(levels, spec.m)[0], scale)
+    for mv, lv in zip(mvals, _unscale_floats(levels[-1], scale)):
         if mv >= L:
             inside += abs(mv - root * lv) ** q * w
             k += 1
@@ -367,51 +367,47 @@ def g_phi(phi: StepFunction, L, q: float, spec: TreeSpec,
     return g, record
 
 
-def _leaf_integrals(g: StepFunction, spec: TreeSpec) -> tuple[list, int | None]:
+def _leaf_integrals(g: StepFunction, spec: TreeSpec) -> tuple[list[int], int]:
     """Integral of g over each depth-N leaf, by one sweep over the pieces.
 
     Overlaps are integer lengths in units of 1/unit, unit the lcm of m^N and
-    the breakpoint denominators.  An exact g gives integers on the scale
-    D unit, D the lcm of its value denominators; any other g gives floats
-    (every value made a float first) and scale None.
+    the breakpoint denominators.  The integrals are integers on the scale
+    D unit, D the lcm of the value denominators of g made exact.
     """
+    g = g.to_exact()
     n = spec.n_leaves
     unit = math.lcm(n, *(b.denominator for b in g.breakpoints))
     cell = unit // n
     ends = [b.numerator * (unit // b.denominator) for b in g.breakpoints]
-    exact = g.is_exact
-    if exact:
-        den = math.lcm(*(v.denominator for v in g.values))
-        coefs = [v.numerator * (den // v.denominator) for v in g.values]
-    else:
-        coefs = [float(v) for v in g.values]
-    out = [0 if exact else 0.0] * n
+    den = math.lcm(*(v.denominator for v in g.values))
+    coefs = [v.numerator * (den // v.denominator) for v in g.values]
+    out = [0] * n
     for v, a, b in zip(coefs, ends, ends[1:]):
         # leaves a // cell .. ceil(b / cell) - 1 meet [a, b) in positive length
         for i in range(a // cell, -(-b // cell)):
             length = min(b, (i + 1) * cell) - max(a, i * cell)
-            out[i] += v * length if exact else v * (length / unit)
-    return out, den * unit if exact else None
+            out[i] += v * length
+    return out, den * unit
 
 
 def leaf_integrals(g: StepFunction, spec: TreeSpec) -> list:
-    """Integral of g over each depth-N leaf; Fractions when g's values are."""
+    """Integral of g over each depth-N leaf; Fractions for exact g, else rounded once."""
     out, scale = _leaf_integrals(g, spec)
-    return out if scale is None else [Fraction(v, scale) for v in out]
+    return [Fraction(v, scale) for v in out] if g.is_exact else _unscale_floats(out, scale)
 
 
 def ancestor_max_averages(g: StepFunction, spec: TreeSpec) -> list:
     """Per leaf, the max of Av_I(g) over ancestors of depth 0..N.
 
     Works for functions that are not leaf aligned (the leaf averages are the
-    leaf integrals times m^N); for aligned ones this is exactly the maximal
-    function at leaf resolution.  On an exact g the leaf averages are integer
-    multiples of m^N on the scale of _leaf_integrals, as _levels needs.
+    leaf integrals times m^N, integer multiples of m^N on the scale of
+    _leaf_integrals, as _levels needs).  Fractions for exact g, and for aligned
+    exact g exactly the maximal function at leaf resolution; else rounded once.
     """
     out, scale = _leaf_integrals(g, spec)
     n = spec.n_leaves
     best = _running_max(_levels([v * n for v in out], spec.m), spec.m)[0]
-    return best if scale is None else [Fraction(v, scale) for v in best]
+    return [Fraction(v, scale) for v in best] if g.is_exact else _unscale_floats(best, scale)
 
 
 # -- randomized verification harness ------------------------------------
@@ -467,23 +463,7 @@ def verify_suite(n_phi: int, spec: TreeSpec, q: float, *, n_beta: int = 50,
     betas = [beta_lo * (beta_hi / beta_lo) ** (i / (n_beta - 1)) for i in range(n_beta)] \
         if n_beta > 1 else [beta_lo]
     t0 = time.perf_counter()
-    checks = 0
-    violations = 0
-    min_slack = math.inf
-    by_kind = dict.fromkeys((*_GAP_KINDS, "weak_type", "kolmogorov"), math.inf)
-
-    def record(pid, kind, label, gap):
-        nonlocal checks, violations, min_slack
-        checks += 1
-        if gap.slack < -1e-12:
-            violations += 1
-        if gap.slack < min_slack:
-            min_slack = gap.slack
-        if gap.slack < by_kind[kind]:
-            by_kind[kind] = gap.slack
-        if collect is not None:
-            collect.append((f"phi{pid}", label, gap))
-
+    rows = []  # (phi id, kind, label, gap), one per check
     for pid in range(n_phi):
         phi = random_step_function(rng, spec)
         lin = linearize(phi, spec)
@@ -494,23 +474,27 @@ def verify_suite(n_phi: int, spec: TreeSpec, q: float, *, n_beta: int = 50,
         for kind, (maximal, _) in _GAP_KINDS.items():
             fam, label = (fam_max, "maximal") if maximal else (fam_dis, "disjoint")
             for gap in _gap_sweep(kind, phi, spec, q, fam, betas, lin, (mvals, lvals), norm1):
-                record(pid, kind, f"{kind}:{label}", gap)
+                rows.append((pid, kind, f"{kind}:{label}", gap))
         top = float(max(lin.averages.values(), default=0.0)) or 1.0
         for _ in range(5):
             lam = top * math.exp(rng.uniform(math.log(1e-3), math.log(1.2)))
-            record(pid, "weak_type", "weak_type:level",
-                   _weak_type_slack(mvals, lvals, lam, spec))
+            rows.append((pid, "weak_type", "weak_type:level",
+                         _weak_type_slack(mvals, lvals, lam, spec)))
         unions = [list(range(spec.n_leaves))]
         for _ in range(2):
             unions.append([i for i in range(spec.n_leaves) if rng.random() < 0.5])
         for leaves in unions:
-            record(pid, "kolmogorov", "kolmogorov:union",
-                   _kolmogorov_slack(mvals, norm1, q, leaves, spec))
+            rows.append((pid, "kolmogorov", "kolmogorov:union",
+                         _kolmogorov_slack(mvals, norm1, q, leaves, spec)))
+    if collect is not None:
+        collect.extend((f"phi{pid}", label, gap) for pid, _, label, gap in rows)
+    slacks = [(kind, gap.slack) for _, kind, _, gap in rows]
     return VerifyReport(
         n_phi=n_phi,
-        n_checks=checks,
-        n_violations=violations,
-        min_slack=min_slack,
-        min_slack_by_kind=by_kind,
+        n_checks=len(rows),
+        n_violations=sum(s < -1e-12 for _, s in slacks),
+        min_slack=min([math.inf, *(s for _, s in slacks)]),
+        min_slack_by_kind={kind: min([math.inf, *(s for k, s in slacks if k == kind)])
+                           for kind in (*_GAP_KINDS, "weak_type", "kolmogorov")},
         elapsed_seconds=time.perf_counter() - t0,
     )

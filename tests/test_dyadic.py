@@ -35,6 +35,7 @@ from bklab.transforms import (
     ancestor_max_averages,
     g_phi,
     leaf_integrals,
+    objective,
     random_step_function,
 )
 
@@ -457,6 +458,9 @@ ONE = StepFunction.constant(1.0)
     pytest.param(lambda: ONE.value_at(1), id="value_at-1"),
     pytest.param(lambda: ONE.integral_over(HALF, Fraction(1, 4)), id="reversed-interval"),
     pytest.param(lambda: weak_type_gap(ONE, 0.0, TreeSpec(2, 2)), id="weak-type-lam-0"),
+    pytest.param(lambda: weak_type_gap(ONE.to_exact(), math.inf, TreeSpec(2, 2)),
+                 id="weak-type-lam-inf"),
+    pytest.param(lambda: weak_type_gap(ONE, math.nan, TreeSpec(2, 2)), id="weak-type-lam-nan"),
     pytest.param(lambda: kolmogorov_gap(ONE, 0.5, [4], TreeSpec(2, 2)),
                  id="kolmogorov-leaf-n"),
     pytest.param(lambda: excess_set(ONE, math.nan, TreeSpec(2, 2), 0.5), id="excess-L-nan"),
@@ -466,6 +470,29 @@ ONE = StepFunction.constant(1.0)
 def test_input_checks_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+# every average of HUGE is 1e308, but the root's block sum 2e308 overflows a float
+HUGE = StepFunction.from_leaf_values([1e308, 1e308], TreeSpec(2, 1))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda spec: tree_averages(HUGE, spec), id="tree_averages"),
+    pytest.param(lambda spec: linearize(HUGE, spec), id="linearize"),
+    pytest.param(lambda spec: maximal_function(HUGE, spec), id="maximal_function"),
+    pytest.param(lambda spec: s_phi_by_criterion(HUGE, spec), id="s_phi_by_criterion"),
+    pytest.param(lambda spec: excess_set(HUGE, 1.0, spec, 0.5), id="excess_set"),
+    pytest.param(lambda spec: objective(HUGE, 1.0, 0.5, spec), id="objective"),
+    pytest.param(lambda spec: weak_type_gap(HUGE, 1.0, spec), id="weak_type_gap"),
+])
+def test_float_overflow_raises_domain_error(call):
+    with pytest.raises(DomainError, match="past 1.8e308"):
+        call(TreeSpec(2, 1))
+
+
+def test_exact_copy_has_no_overflow():
+    mphi = maximal_function(HUGE.to_exact(), TreeSpec(2, 1))
+    assert mphi.values == (1e308,)
 
 
 # (m, depth) with m in {2, 3, 4}, depth <= 6 and at most 64 leaves

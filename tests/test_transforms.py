@@ -121,6 +121,43 @@ class TestEigenResidual:
         assert res.total == pytest.approx(want, rel=1e-12)
 
 
+class TestEvaluatorBits:
+    def test_outputs_pinned(self):
+        # recorded while these evaluators read M phi through tree_averages, one
+        # Fraction per tree node on exact input; the weak-type levels include
+        # an average of phi itself, where the strict test must stay exact
+        digest = hashlib.sha256()
+
+        def pin(*xs):
+            digest.update((" ".join(float(x).hex() for x in xs) + "\n").encode())
+
+        rng = random.Random(64)
+        calls = 0
+        for (m, depth), q in (((2, 6), 0.5), ((3, 4), 0.3), ((4, 3), 0.7)):
+            spec = TreeSpec(m, depth)
+            for exact in (True, False, True, False):
+                phi = random_step_function(rng, spec, exact=exact)
+                f, h = float(phi.integral()), phi.q_integral(q)
+                avgs = sorted(set(linearize(phi, spec).averages.values()))
+                for L in (0.5, f, 1.2 * f, 2 * f):
+                    calls += 1
+                    pin(objective(phi, L, q, spec))
+                    if L >= f:
+                        res = eigen_residual(phi, BellmanParams(q=q, f=f, h=h, L=L), spec)
+                        pin(res.total, res.excess_part, res.flat_part, res.excess_measure)
+                mid = avgs[len(avgs) // 2]
+                for lam in (f / 3, mid, float(mid), avgs[-1], 1.5 * float(avgs[-1])):
+                    gap = weak_type_gap(phi, lam, spec)
+                    pin(gap.beta, gap.lhs, gap.rhs)
+                for leaves in (range(spec.n_leaves), [i for i in range(spec.n_leaves)
+                                                      if rng.random() < 0.5]):
+                    gap = kolmogorov_gap(phi, q, leaves, spec)
+                    pin(gap.beta, gap.lhs, gap.rhs)
+        assert calls == 48
+        assert digest.hexdigest() == (
+            "4cae933f413edfad7678e9f80db392ae35b58128d55b1b3c958726c721558ed6")
+
+
 class TestFamilyValidation:
     def setup_method(self):
         self.spec = TreeSpec(2, 2)
@@ -617,6 +654,20 @@ class TestLeafHelpers:
         w = spec.leaf_measure
         for i in range(spec.n_leaves):
             assert ints[i] == g.integral_over(w * i, w * (i + 1))
+
+    def test_float_g_rounds_exact_results_once(self):
+        # a float g is swept through its exact copy, aligned to the leaf grid
+        # or finer than it, and each result is then rounded once to a float
+        rng = random.Random(33)
+        for m, depth in ((2, 4), (3, 3)):
+            spec = TreeSpec(m, depth)
+            for fine in (depth, depth + 2):
+                for _ in range(4):
+                    g = random_step_function(rng, TreeSpec(m, fine))
+                    for fn in (leaf_integrals, ancestor_max_averages):
+                        got = fn(g, spec)
+                        assert all(type(v) is float for v in got)
+                        assert got == [float(v) for v in fn(g.to_exact(), spec)]
 
     def test_ancestor_max_on_aligned_equals_maximal(self):
         rng = random.Random(32)
