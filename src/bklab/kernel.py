@@ -19,6 +19,14 @@ the excess set, x the ratio of the top average to the threshold scale.
 Inversions are done by bisection in the variable y = z^q, which keeps every
 intermediate quantity bounded even for q near 0 (y stays in [1, z/(1-q) + 1]
 while z^(1/q) itself may overflow).
+
+`_bracket` is the one general bisection.  omega_q, on which every Bellman
+value and every r_k point rests, runs its own copy of `_bracket`'s loop with
+the residual written inline: a Python call per step cost more than the
+arithmetic of the step.  Its stopping rule, branches and float operations are
+`_bracket`'s, so it returns the same bits; tests/test_kernel.py checks that
+against `_bracket` driven by the plain residual.  chi_lambda and rho_interval
+call `_bracket` with residuals whose constant factors are computed once.
 """
 
 from __future__ import annotations
@@ -76,27 +84,52 @@ def _bisect(fn, lo: float, hi: float) -> float:
 def h_q(z: float, q: float) -> float:
     """Transfer function H(z) = (1-q) z^q + q z^(q-1), strictly increasing on [1, inf)."""
     _check_q(q)
-    if z < 1.0:
-        raise DomainError(f"h_q needs z >= 1, got {z}")
+    if not (1.0 <= z < math.inf):
+        raise DomainError(f"h_q needs finite z >= 1, got {z}")
     return (1.0 - q) * z**q + q * z ** (q - 1.0)
 
 
 def omega_q(z: float, q: float) -> float:
-    """omega(z) = (H^{-1}(z))^q for z >= 1.
+    """omega(z) = (H^{-1}(z))^q for finite z >= 1.
 
     Solved as the root y of (1-q) y + q y^(1 - 1/q) = z on [1, z/(1-q) + 1];
     the upper endpoint gives (1-q) y >= z, so the bracket is guaranteed.
+    The loop is `_bisect`'s, inlined (see the module docstring): the same
+    branches and float operations in the same order, so the same bits.
     """
     _check_q(q)
-    if z <= 1.0:
-        if z > 1.0 - 1e-12:
+    if not (1.0 < z < math.inf):
+        if 1.0 - 1e-12 < z <= 1.0:
             return 1.0
-        raise DomainError(f"omega_q needs z >= 1, got {z}")
-
-    def resid(y: float) -> float:
-        return (1.0 - q) * y + q * y ** (1.0 - 1.0 / q) - z
-
-    return _bisect(resid, 1.0, z / (1.0 - q) + 1.0)
+        raise DomainError(f"omega_q needs finite z >= 1, got {z}")
+    a = 1.0 - q
+    e = 1.0 - 1.0 / q
+    lo = 1.0
+    hi = z / a + 1.0
+    flo = a * lo + q * lo**e - z
+    fhi = a * hi + q * hi**e - z
+    if flo > 0.0 or fhi < 0.0:
+        raise ConvergenceError(
+            f"root not bracketed on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
+        )
+    if flo == 0.0:
+        hi = lo
+    elif fhi == 0.0:
+        lo = hi
+    else:
+        for _ in range(_BISECT_MAX_ITER):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            fmid = a * mid + q * mid**e - z
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if fmid < 0.0:
+                lo = mid
+            else:
+                hi = mid
+    return 0.5 * (lo + hi)
 
 
 def u_q(x: float, q: float) -> float:
@@ -126,14 +159,18 @@ def chi_lambda(lam: float, k: float, q: float) -> float:
     below 1e-10 relative to lam * H(x).
     """
     _check_q(q)
-    if lam <= 1.0:
-        raise DomainError(f"chi_lambda needs lam > 1, got {lam}")
+    if not (1.0 < lam < math.inf):
+        raise DomainError(f"chi_lambda needs finite lam > 1, got {lam}")
     if not (0.0 < k < 1.0):
         raise DomainError(f"chi_lambda needs 0 < k < 1, got k={k}")
+    a = 1.0 - q
+    b = q - 1.0
+    c = 1.0 - k
 
     def resid(x: float) -> float:
-        y = x * (1.0 - k) / (1.0 - k * x)
-        return h_q(y, q) - lam * h_q(x, q)
+        # H(y) - lam H(x), with h_q's expression written out
+        y = x * c / (1.0 - k * x)
+        return a * y**q + q * y**b - lam * (a * x**q + q * x**b)
 
     span = 1.0 / k - 1.0
     eps = 1e-13 * span
@@ -152,10 +189,10 @@ def k0(lam: float, mu: float, q: float) -> float:
     sigma_q(k0, mu) = lam and chi_lambda(lam, k0) = mu.
     """
     _check_q(q)
-    if lam <= 1.0:
-        raise DomainError(f"k0 needs lam > 1, got {lam}")
-    if mu <= 1.0:
-        raise DomainError(f"k0 needs mu > 1, got {mu}")
+    if not (1.0 < lam < math.inf):
+        raise DomainError(f"k0 needs finite lam > 1, got {lam}")
+    if not (1.0 < mu < math.inf):
+        raise DomainError(f"k0 needs finite mu > 1, got {mu}")
     w = omega_q(lam * h_q(mu, q), q)
     t = w ** (-1.0 / q)  # underflows harmlessly to 0 for small q
     if mu * t >= 1.0:
@@ -198,6 +235,10 @@ def _check_fhk(k: float, q: float, f: float, h: float) -> None:
 def ell_k(b: float, k: float, q: float, f: float) -> float:
     """l_k(B) = (1-k)^(1-q) (f-B)^q + k^(1-q) B^q on [0, f], peak f^q at B = k f."""
     _check_q(q)
+    if not (0.0 < k < 1.0):
+        raise DomainError(f"ell_k needs 0 < k < 1, got k={k}")
+    if not (0.0 < f < math.inf):
+        raise DomainError(f"ell_k needs finite f > 0, got f={f}")
     if not (0.0 <= b <= f):
         raise DomainError(f"ell_k needs 0 <= B <= f, got B={b}")
     return (1.0 - k) ** (1.0 - q) * (f - b) ** q + k ** (1.0 - q) * b**q
@@ -214,14 +255,18 @@ def rho_interval(k: float, q: float, f: float, h: float) -> tuple[float, float]:
     """
     _check_fhk(k, q, f, h)
     h = min(h, f**q)
+    p = 1.0 - q
+    wl = (1.0 - k) ** p
+    wk = k**p
+    # the residuals write ell_k's expression out, with its weights computed once
     if ell_k(0.0, k, q, f) >= h:
         rho0 = 0.0
     else:
-        _, rho0 = _bracket(lambda b: ell_k(b, k, q, f) - h, 0.0, k * f)
+        _, rho0 = _bracket(lambda b: wl * (f - b) ** q + wk * b**q - h, 0.0, k * f)
     if ell_k(f, k, q, f) >= h:
         rho1 = f
     else:
-        rho1, _ = _bracket(lambda b: h - ell_k(b, k, q, f), k * f, f)
+        rho1, _ = _bracket(lambda b: h - (wl * (f - b) ** q + wk * b**q), k * f, f)
     return rho0, rho1
 
 
@@ -318,12 +363,25 @@ class BellmanParams:
 
     @property
     def eigenvalue_root(self) -> float:
-        """c^(1/q): the factor relating max(M phi, L) to phi on near-extremizers."""
-        return self.c ** (1.0 / self.q)
+        """c^(1/q): the factor relating max(M phi, L) to phi on near-extremizers.
+
+        Raises DomainError where it overflows a float (q near 0 or tiny h).
+        """
+        c = self.c
+        try:
+            return c ** (1.0 / self.q)
+        except OverflowError:
+            raise DomainError(
+                f"c^(1/q) overflows a float: c = {c}, 1/q = {1.0 / self.q}"
+            ) from None
 
     @property
     def tau(self) -> float:
-        return self.L / self.eigenvalue_root
+        """L / c^(1/q); where c^(1/q) overflows, L c^(-1/q), which underflows toward 0."""
+        try:
+            return self.L / self.eigenvalue_root
+        except DomainError:
+            return self.L * self.c ** (-1.0 / self.q)
 
     @property
     def k0(self) -> float:

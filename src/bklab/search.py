@@ -301,13 +301,15 @@ def _seed_values(params: BellmanParams, spec: TreeSpec, ridx: int, rng) -> np.nd
 
 
 def _require_feasible(params: BellmanParams, n: int) -> None:
-    """Refuse h < f^q n^(q-1), the least mean of v^q (all mass in one cell)."""
+    """Refuse h < f^q n^(q-1), the least mean of v^q (all mass in one cell),
+    and data whose c^(1/q) overflows: the seeds and the defect scale by it."""
     f, h, q = params.f, params.h, params.q
     if h < f**q * n ** (q - 1.0) * (1.0 - 1e-12):
         raise DomainError(
             f"h = {h} is below f^q n^(q-1) = {f**q * n ** (q - 1.0)}: "
             f"no function on {n} cells has these moments"
         )
+    _ = params.eigenvalue_root  # raises DomainError where it overflows
 
 
 def _three_cell_targets(vi, vj, vk, t, q):

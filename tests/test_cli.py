@@ -140,6 +140,32 @@ class TestExitCodes:
         assert out == ""
         assert "finite" in err
 
+    # c = omega(...) is finite at these data but c^(1/q) overflows a float
+    @pytest.mark.parametrize("q, h", [("0.001", "0.4"), ("0.5", "1e-200")])
+    def test_bellman_reports_tau_where_root_overflows(self, capsys, q, h):
+        code, out, _ = run_cli(capsys, "bellman", "--q", q, "--f", "1", "--h", h,
+                               "--L", "1.2")
+        assert code == 0
+        got = json.loads(out)
+        assert got["tau"] == BellmanParams(q=float(q), f=1.0, h=float(h), L=1.2).tau
+        assert got["tau"] == 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ("search", "--N", "4", "--budget", "10"),
+        ("search", "--oracle", "--N", "2"),
+        ("study", "--depths", "4", "--budget", "10"),
+        ("residual",),
+    ])
+    def test_domain_error_overflowing_root(self, capsys, tmp_path, argv):
+        if argv[0] == "residual":
+            path, _, _ = write_phi(tmp_path, [0, 12, 4, 1])
+            argv = (*argv, "--phi", str(path))
+        code, out, err = run_cli(capsys, *argv, "--q", "0.001", "--f", "1",
+                                 "--h", "0.4", "--L", "1.2")
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err
+
     def test_io_error_missing_phi(self, capsys):
         code, _, err = run_cli(capsys, "maximal", "--phi", "/no/such/file.json")
         assert code == 4

@@ -6,12 +6,16 @@ that closed form plus dense-grid maximization, independent of this code.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bklab import (
     BellmanParams,
+    ConvergenceError,
     DomainError,
     bellman_value,
     chi_lambda,
@@ -26,6 +30,7 @@ from bklab import (
     sigma_q,
     u_q,
 )
+from bklab import kernel
 
 
 def omega_half(z):
@@ -66,6 +71,14 @@ class TestOmega:
             for y in (1.0, 1.5, 2.0, 5.0, 20.0):
                 z = h_q(y ** (1.0 / q), q)
                 assert omega_q(z, q) == pytest.approx(y, rel=1e-12), (q, y)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(q=st.floats(1e-3, 1.0 - 1e-3), log_gap=st.floats(-12.0, 12.0))
+    def test_defining_equation_over_cli_q_range(self, q, log_gap):
+        z = 1.0 + 10.0**log_gap
+        y = omega_q(z, q)
+        lhs = (1.0 - q) * y + q * y ** (1.0 - 1.0 / q)
+        assert abs(lhs - z) <= 1e-12 * z
 
     def test_small_q_no_overflow(self):
         # y-space bisection keeps everything finite even when H^{-1} overflows
@@ -370,6 +383,16 @@ class TestBellmanParams:
         assert 0.0 < p.k0 < 1.0
         assert 0.0 < p.tau < p.f
 
+    @pytest.mark.parametrize("q, h", [(0.001, 0.4), (0.5, 1e-200), (0.5, 1.3e-154)])
+    def test_overflowing_eigenvalue_root(self, q, h):
+        # c is finite but c^(1/q) is not: tau = L c^(-1/q) underflows instead
+        p = BellmanParams(q=q, f=1.0, h=h, L=1.2)
+        assert math.isfinite(p.c) and math.isfinite(p.value)
+        with pytest.raises(DomainError, match="overflows"):
+            p.eigenvalue_root
+        assert p.tau == 1.2 * p.c ** (-1.0 / q)
+        assert 0.0 <= p.tau < 2.0**-1022
+
     def test_validation(self):
         with pytest.raises(DomainError):
             BellmanParams(q=1.2, f=1.0, h=0.5, L=1.0)
@@ -398,7 +421,108 @@ class TestBellmanParams:
     pytest.param(lambda: BellmanParams(0.5, math.inf, 0.8, math.inf),
                  id="BellmanParams-f-inf"),
     pytest.param(lambda: bellman_value(0.5, 1.0, 0.8, math.nan), id="bellman_value-L-nan"),
+    pytest.param(lambda: omega_q(math.nan, 0.5), id="omega_q-z-nan"),
+    pytest.param(lambda: omega_q(math.inf, 0.5), id="omega_q-z-inf"),
+    pytest.param(lambda: h_q(math.nan, 0.5), id="h_q-z-nan"),
+    pytest.param(lambda: u_q(math.inf, 0.5), id="u_q-x-inf"),
+    pytest.param(lambda: chi_lambda(math.nan, 0.5, 0.5), id="chi_lambda-lam-nan"),
+    pytest.param(lambda: chi_lambda(math.inf, 0.5, 0.5), id="chi_lambda-lam-inf"),
+    pytest.param(lambda: k0(1.5, math.inf, 0.5), id="k0-mu-inf"),
+    pytest.param(lambda: k0(math.inf, 1.5, 0.5), id="k0-lam-inf"),
+    pytest.param(lambda: ell_k(0.5, 1.5, 0.5, 1.0), id="ell_k-k-above-1"),
+    pytest.param(lambda: ell_k(0.5, -0.5, 0.5, 1.0), id="ell_k-k-negative"),
+    pytest.param(lambda: ell_k(0.5, math.nan, 0.5, 1.0), id="ell_k-k-nan"),
+    pytest.param(lambda: ell_k(0.5, 0.5, 0.5, math.inf), id="ell_k-f-inf"),
 ])
 def test_input_checks_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+# -- reference roots: kernel._bracket driven by each function's plain residual
+
+def _ref_omega_q(z, q):
+    def resid(y):
+        return (1.0 - q) * y + q * y ** (1.0 - 1.0 / q) - z
+
+    return kernel._bisect(resid, 1.0, z / (1.0 - q) + 1.0)
+
+
+def _ref_chi_lambda(lam, k, q):
+    def resid(x):
+        y = x * (1.0 - k) / (1.0 - k * x)
+        return h_q(y, q) - lam * h_q(x, q)
+
+    eps = 1e-13 * (1.0 / k - 1.0)
+    root = kernel._bisect(resid, 1.0 + eps, 1.0 / k - eps)
+    if abs(resid(root)) / (lam * h_q(root, q)) > 1e-10:
+        raise ConvergenceError("residual above tolerance")
+    return root
+
+
+def _ref_rho_interval(k, q, f, h):
+    h = min(h, f**q)
+    rho0, rho1 = 0.0, f
+    if ell_k(0.0, k, q, f) < h:
+        _, rho0 = kernel._bracket(lambda b: ell_k(b, k, q, f) - h, 0.0, k * f)
+    if ell_k(f, k, q, f) < h:
+        rho1, _ = kernel._bracket(lambda b: h - ell_k(b, k, q, f), k * f, f)
+    return rho0, rho1
+
+
+def _bits(fn, *args):
+    """The result's float bits, or the exception type it raised."""
+    try:
+        out = fn(*args)
+    except (DomainError, ConvergenceError) as exc:
+        return type(exc).__name__
+    if isinstance(out, tuple):
+        return tuple(x.hex() for x in out)
+    return out.hex()
+
+
+class TestSpecializedRootsBits:
+    """omega_q's inline loop and the flat residuals of chi_lambda and
+    rho_interval return the bits of kernel._bracket on the plain residuals,
+    over the CLI's q range."""
+
+    @staticmethod
+    def omega_draws():
+        rng = random.Random(20261019)
+        return [(1.0 + 10.0 ** rng.uniform(-12.0, 12.0), rng.uniform(1e-3, 1.0 - 1e-3))
+                for _ in range(10_000)]
+
+    @staticmethod
+    def kqfh_draws():
+        rng = random.Random(1019)
+        out = []
+        for _ in range(1_500):
+            q = rng.uniform(1e-3, 1.0 - 1e-3)
+            k = rng.uniform(0.02, 0.98)
+            f = rng.uniform(0.3, 3.0)
+            h = rng.uniform(0.2, 1.0) * f**q
+            lam = 1.0 + 10.0 ** rng.uniform(-6.0, 1.0)
+            out.append((k, q, f, h, lam))
+        return out
+
+    def test_omega_q(self):
+        draws = self.omega_draws()
+        got = [_bits(omega_q, z, q) for z, q in draws]
+        assert got == [_bits(_ref_omega_q, z, q) for z, q in draws]
+
+    def test_chi_lambda(self):
+        draws = self.kqfh_draws()
+        got = [_bits(chi_lambda, lam, k, q) for k, q, _, _, lam in draws]
+        assert got == [_bits(_ref_chi_lambda, lam, k, q) for k, q, _, _, lam in draws]
+
+    def test_rho_interval(self):
+        draws = self.kqfh_draws()
+        got = [_bits(rho_interval, k, q, f, h) for k, q, f, h, _ in draws]
+        assert got == [_bits(_ref_rho_interval, k, q, f, h) for k, q, f, h, _ in draws]
+
+    def test_maximize_r_k(self, monkeypatch):
+        draws = self.kqfh_draws()
+        got = [_bits(maximize_r_k, k, q, f, h) for k, q, f, h, _ in draws]
+        monkeypatch.setattr(kernel, "omega_q", _ref_omega_q)
+        monkeypatch.setattr(kernel, "chi_lambda", _ref_chi_lambda)
+        assert got == [_bits(kernel.maximize_r_k, k, q, f, h) for k, q, f, h, _ in draws]
