@@ -5,7 +5,8 @@ library calls and returns the report.  One dispatcher does the rest: it
 resolves the flags (optionally defaulted from a key = value config file),
 loads --phi and infers its tree, builds the Bellman data, and serializes the
 report deterministically, floats at 17 significant digits and object keys
-sorted, so repeated runs are byte-identical.
+sorted, so repeated runs are byte-identical.  The handler's wall time goes to
+stderr as one JSON line, {"elapsed_seconds": ...}, never into the report.
 
 Exit codes: 0 success, 1 usage, 2 domain error, 3 convergence failure,
 4 I/O error.
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import time
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -90,12 +93,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def render_json(obj) -> str:
-    """Compact JSON with sorted keys and floats at 17 significant digits."""
+    """Compact JSON with sorted keys and floats at 17 digits; NaN or inf raises DomainError."""
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise DomainError(f"report value {obj} is not finite")
         return format(obj, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -372,7 +377,11 @@ def _dispatch(argv) -> int:
         args.phi, args.spec = _load_phi(args.phi, args.N)
     if "f" in flags:
         args.params = BellmanParams(args.q, args.f, args.h, args.L)
-    emit_report(handler(args), getattr(args, "format", "json"), args.out)
+    t0 = time.perf_counter()
+    report = handler(args)
+    elapsed = time.perf_counter() - t0
+    emit_report(report, getattr(args, "format", "json"), args.out)
+    sys.stderr.write(render_json({"elapsed_seconds": elapsed}) + "\n")
     return 0
 
 

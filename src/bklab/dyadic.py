@@ -411,6 +411,11 @@ def _tree_levels(phi: StepFunction, spec: TreeSpec) -> tuple[list[list], int | N
     return _levels(leaves, spec.m), scale
 
 
+def _leaf_floats(levels: list[list], scale: int | None, m: int) -> tuple[list, list]:
+    """Float leaf values of M phi and of phi, from the levels of _tree_levels."""
+    return _unscale_floats(_running_max(levels, m)[0], scale), _unscale_floats(levels[-1], scale)
+
+
 def tree_averages(phi: StepFunction, spec: TreeSpec) -> list[list[Value]]:
     """Averages of phi over every element, indexed [depth][index].
 
@@ -455,8 +460,8 @@ class Linearization:
     weights: dict
     star: dict
 
-    def _maximal_leaves(self) -> list:
-        """Leaf values of M phi: y_I on each leaf of A(phi, I)."""
+    def maximal_from_parts(self) -> StepFunction:
+        """Reassemble M phi as sum of y_I over A(phi, I)."""
         leaves = [None] * self.spec.n_leaves
         for el, idxs in self.a_sets.items():
             y = self.averages[el]
@@ -464,11 +469,7 @@ class Linearization:
                 leaves[i] = y
         if any(v is None for v in leaves):
             raise DomainError("A-sets do not cover [0, 1)")
-        return leaves
-
-    def maximal_from_parts(self) -> StepFunction:
-        """Reassemble M phi as sum of y_I over A(phi, I)."""
-        return StepFunction.from_leaf_values(self._maximal_leaves(), self.spec)
+        return StepFunction.from_leaf_values(leaves, self.spec)
 
 
 def linearize(phi: StepFunction, spec: TreeSpec) -> Linearization:
@@ -636,8 +637,7 @@ def _weak_type_slack(mvals, leaf_vals, lam, spec: TreeSpec, scale=None) -> Inequ
 
 def kolmogorov_gap(phi: StepFunction, q: float, leaves, spec: TreeSpec) -> InequalityGap:
     """integral_E (M phi)^q <= (1-q)^-1 mu(E)^(1-q) ||phi||_1^q for any leaf union E."""
-    levels, scale = _tree_levels(phi, spec)
-    mvals = _unscale_floats(_running_max(levels, spec.m)[0], scale)
+    mvals, _ = _leaf_floats(*_tree_levels(phi, spec), spec.m)
     return _kolmogorov_slack(mvals, float(phi.integral()), q, leaves, spec)
 
 

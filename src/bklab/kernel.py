@@ -93,7 +93,8 @@ def omega_q(z: float, q: float) -> float:
     """omega(z) = (H^{-1}(z))^q for finite z >= 1.
 
     Solved as the root y of (1-q) y + q y^(1 - 1/q) = z on [1, z/(1-q) + 1];
-    the upper endpoint gives (1-q) y >= z, so the bracket is guaranteed.
+    the upper endpoint gives (1-q) y >= z, up to a rounding that hi steps past.
+    A root past half the float range overflows the midpoint: DomainError.
     The loop is `_bisect`'s, inlined (see the module docstring): the same
     branches and float operations in the same order, so the same bits.
     """
@@ -108,10 +109,9 @@ def omega_q(z: float, q: float) -> float:
     hi = z / a + 1.0
     flo = a * lo + q * lo**e - z
     fhi = a * hi + q * hi**e - z
-    if flo > 0.0 or fhi < 0.0:
-        raise ConvergenceError(
-            f"root not bracketed on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
-        )
+    while fhi < 0.0:  # past z ~ 1e15, (1-q) hi can round below z; flo < 0 as z > 1
+        hi = math.nextafter(hi, math.inf)
+        fhi = a * hi + q * hi**e - z
     if flo == 0.0:
         hi = lo
     elif fhi == 0.0:
@@ -129,7 +129,10 @@ def omega_q(z: float, q: float) -> float:
                 lo = mid
             else:
                 hi = mid
-    return 0.5 * (lo + hi)
+    root = 0.5 * (lo + hi)  # inf once the root passes half the float range
+    if root == math.inf:
+        raise DomainError(f"omega_q overflows a float at z={z}, q={q}: root near z/(1-q)")
+    return root
 
 
 def u_q(x: float, q: float) -> float:
@@ -174,7 +177,10 @@ def chi_lambda(lam: float, k: float, q: float) -> float:
 
     span = 1.0 / k - 1.0
     eps = 1e-13 * span
-    root = _bisect(resid, 1.0 + eps, 1.0 / k - eps)
+    hi = 1.0 / k - eps
+    while 1.0 - k * hi <= 0.0:  # near k = 1, 1/k - eps can round to 1/k
+        hi = math.nextafter(hi, 0.0)
+    root = _bisect(resid, 1.0 + eps, hi)
     rel = abs(resid(root)) / (lam * h_q(root, q))
     if rel > 1e-10:
         raise ConvergenceError(f"chi_lambda residual {rel} above tolerance at x={root}")
@@ -387,4 +393,5 @@ class BellmanParams:
     def k0(self) -> float:
         if self.L == self.f:
             return 1.0
-        return k0(self.lam, self.mu, self.q)
+        # at lam = 1 (h = f^q) omega(H(mu))^(1/q) = mu, so k0 = 0
+        return k0(self.lam, self.mu, self.q) if self.lam > 1.0 else 0.0

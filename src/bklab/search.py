@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -162,7 +161,6 @@ class SearchReport:
     seed: int
     restarts: int
     best_restart: int
-    elapsed_seconds: float
 
     @property
     def gap_fraction(self) -> float:
@@ -177,7 +175,7 @@ class SearchReport:
 
 
 def _finish_report(vals, params, spec, iterations, seed, restarts,
-                   best_restart, t0) -> SearchReport:
+                   best_restart) -> SearchReport:
     phi = StepFunction.from_leaf_values([float(x) for x in vals], spec)
     obj = float(leaf_objective(vals, params.L, params.q, spec.m, spec.depth))
     bound = params.value
@@ -199,7 +197,6 @@ def _finish_report(vals, params, spec, iterations, seed, restarts,
         seed=seed,
         restarts=restarts,
         best_restart=best_restart,
-        elapsed_seconds=time.perf_counter() - t0,
     )
 
 
@@ -647,13 +644,12 @@ def local_search(params: BellmanParams, spec: TreeSpec, seed: int = 0,
     if restarts <= 0:
         raise DomainError(f"restarts must be positive, got {restarts}")
     _require_feasible(params, spec.n_leaves)
-    t0 = time.perf_counter()
     f, h, q = params.f, params.h, params.q
 
     if h >= f**q * (1.0 - 1e-12):
         # Hoelder equality pins phi to the constant f
         vals = np.full(spec.n_leaves, float(f))
-        return _finish_report(vals, params, spec, 0, seed, restarts, 0, t0)
+        return _finish_report(vals, params, spec, 0, seed, restarts, 0)
 
     extras = [np.asarray(e, dtype=float) for e in (extra_seeds or [])]
     n_extra = len(extras)
@@ -675,7 +671,7 @@ def local_search(params: BellmanParams, spec: TreeSpec, seed: int = 0,
         key=lambda row: (row[2], row[0]),
     )
     return _finish_report(best_vals, params, spec, budget * len(kept), seed,
-                          restarts + n_extra, best_ridx, t0)
+                          restarts + n_extra, best_ridx)
 
 
 # -- exhaustive oracle at toy sizes -------------------------------------
@@ -708,11 +704,10 @@ def brute_force_oracle(params: BellmanParams, spec: TreeSpec, grid: int = 8) -> 
     _require_feasible(params, n)
     f, h, q, L = params.f, params.h, params.q, params.L
     band = f**q / (2.0 * grid)
-    t0 = time.perf_counter()
 
     if h >= f**q * (1.0 - 1e-12):
         vals = np.full(n, float(f))
-        return _finish_report(vals, params, spec, 0, 0, 1, 0, t0)
+        return _finish_report(vals, params, spec, 0, 0, 1, 0)
 
     if n == 2:
         # the exact feasible set: x + y = 2f with (x^q + y^q)/2 = h; h may
@@ -721,7 +716,7 @@ def brute_force_oracle(params: BellmanParams, spec: TreeSpec, grid: int = 8) -> 
         target = max(h, 0.5 * (2.0 * f) ** q)
         x = _bisect(lambda x: target - 0.5 * (x**q + (2.0 * f - x) ** q), f, 2.0 * f)
         vals = np.array([x, 2.0 * f - x])
-        return _finish_report(vals, params, spec, 1, 0, 1, 0, t0)
+        return _finish_report(vals, params, spec, 1, 0, 1, 0)
 
     levels = np.concatenate([[0.0], np.geomspace(1.0, 128.0, grid - 1)])
     radix = grid ** np.arange(n, dtype=np.int64)
@@ -752,7 +747,7 @@ def brute_force_oracle(params: BellmanParams, spec: TreeSpec, grid: int = 8) -> 
             f"no quantized pattern reaches the q-mass band of width {band}"
         )
     vals = project_to_moments(best_vals, f, h, q)
-    return _finish_report(vals, params, spec, combos, 0, 1, 0, t0)
+    return _finish_report(vals, params, spec, combos, 0, 1, 0)
 
 
 # -- convergence study --------------------------------------------------

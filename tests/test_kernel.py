@@ -73,12 +73,18 @@ class TestOmega:
                 assert omega_q(z, q) == pytest.approx(y, rel=1e-12), (q, y)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(q=st.floats(1e-3, 1.0 - 1e-3), log_gap=st.floats(-12.0, 12.0))
+    @given(q=st.floats(1e-3, 1.0 - 1e-3), log_gap=st.floats(-12.0, 300.0))
     def test_defining_equation_over_cli_q_range(self, q, log_gap):
         z = 1.0 + 10.0**log_gap
         y = omega_q(z, q)
         lhs = (1.0 - q) * y + q * y ** (1.0 - 1.0 / q)
         assert abs(lhs - z) <= 1e-12 * z
+
+    def test_bracket_steps_past_rounding_at_large_z(self):
+        # (1-q)(z/(1-q) + 1) rounds below z here, so z/(1-q) + 1 alone is no bracket
+        z, q = 6.783862773967196e+170, 0.8369028197112477
+        y = omega_q(z, q)
+        assert abs((1.0 - q) * y + q * y ** (1.0 - 1.0 / q) - z) <= 1e-15 * z
 
     def test_small_q_no_overflow(self):
         # y-space bisection keeps everything finite even when H^{-1} overflows
@@ -144,6 +150,16 @@ class TestChiLambda:
     def test_matches_sigma_root(self):
         x = chi_lambda(1.25, 0.6, 0.5)
         assert sigma_q(0.6, x, 0.5) == pytest.approx(1.25, rel=1e-10)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: chi_lambda(1.5, 1 - 1e-9, 0.5), id="chi_lambda"),
+        pytest.param(lambda: maximize_r_k(1 - 1e-12, 0.5, 1.0, 0.8), id="maximize_r_k"),
+    ])
+    def test_near_k_one_is_convergence_error(self, call):
+        # 1/k - 1e-13 (1/k - 1) rounds to 1/k, where the residual divides by
+        # 1 - k x = 0; stepped below it, the root misses the 1e-10 tolerance
+        with pytest.raises(ConvergenceError, match="residual"):
+            call()
 
 
 class TestK0:
@@ -423,6 +439,10 @@ class TestBellmanParams:
     pytest.param(lambda: bellman_value(0.5, 1.0, 0.8, math.nan), id="bellman_value-L-nan"),
     pytest.param(lambda: omega_q(math.nan, 0.5), id="omega_q-z-nan"),
     pytest.param(lambda: omega_q(math.inf, 0.5), id="omega_q-z-inf"),
+    # the root passes half the float range, where the bisection midpoint overflows
+    pytest.param(lambda: omega_q(1e308, 0.5), id="omega_q-root-overflows"),
+    pytest.param(lambda: omega_q(4.760088073549772e+307, 0.585331709806711),
+                 id="omega_q-root-overflows-at-q-0.59"),
     pytest.param(lambda: h_q(math.nan, 0.5), id="h_q-z-nan"),
     pytest.param(lambda: u_q(math.inf, 0.5), id="u_q-x-inf"),
     pytest.param(lambda: chi_lambda(math.nan, 0.5, 0.5), id="chi_lambda-lam-nan"),

@@ -344,8 +344,7 @@ class TestVerifySuite:
         spec = TreeSpec(2, 3)
         a = verify_suite(5, spec, 0.5, n_beta=4, seed=9)
         b = verify_suite(5, spec, 0.5, n_beta=4, seed=9)
-        assert a.min_slack == b.min_slack
-        assert a.min_slack_by_kind == b.min_slack_by_kind
+        assert a == b
 
     @pytest.mark.parametrize("m, depth, q", [(2, 6, 0.5), (3, 4, 0.3), (4, 3, 0.7)])
     def test_rows_match_public_evaluators(self, m, depth, q):
