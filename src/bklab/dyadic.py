@@ -117,6 +117,8 @@ ROOT = TreeElement(0, 0)
 
 
 def _as_value(v) -> Value:
+    if type(v) is float and 0.0 <= v < math.inf:  # the common case; -0.0 stays as given
+        return v
     if isinstance(v, Fraction):
         val = v
     elif isinstance(v, bool):
@@ -273,9 +275,11 @@ class StepFunction:
 
     def integral(self):
         """Integral over [0, 1); exact when the values are Fractions."""
-        total = 0
-        for i, v in enumerate(self.values):
-            total += v * (self.breakpoints[i + 1] - self.breakpoints[i])
+        den = math.lcm(*(b.denominator for b in self.breakpoints))
+        ends = [b.numerator * (den // b.denominator) for b in self.breakpoints]
+        total = 0  # a float v times (b - a) / den rounds once, as v * Fraction(b - a, den) did
+        for v, a, b in zip(self.values, ends, ends[1:]):
+            total += v * ((b - a) / den) if isinstance(v, float) else v * Fraction(b - a, den)
         return total
 
     def q_integral(self, q: float) -> float:
@@ -477,14 +481,15 @@ def linearize(phi: StepFunction, spec: TreeSpec) -> Linearization:
     return _linearize(*_tree_levels(phi, spec), spec)
 
 
-def _linearize(levels: list[list], scale: int | None, spec: TreeSpec) -> Linearization:
-    """linearize over the levels of _tree_levels and their scale."""
+def _linearize(levels: list[list], scale: int | None, spec: TreeSpec,
+               depths: list[int] | None = None) -> Linearization:
+    """linearize over _tree_levels' levels and scale, and _running_max's depths if held."""
     m, N = spec.m, spec.depth
 
     # the A-sets, star walk and ordering work on (depth, index) keys; one
     # TreeElement is built per member of S_phi, not per leaf
     groups: dict[tuple[int, int], list[int]] = {(0, 0): []}
-    for i, d in enumerate(_running_max(levels, m)[1]):
+    for i, d in enumerate(_running_max(levels, m)[1] if depths is None else depths):
         groups.setdefault((d, i // m ** (N - d)), []).append(i)
     elements = {key: TreeElement(*key) for key in sorted(groups)}
 

@@ -350,18 +350,24 @@ class BellmanParams:
         if not (self.f <= self.L < math.inf):
             raise DomainError(f"need finite L >= f, got L={self.L}, f={self.f}")
 
+    def _finite(self, value: float, name: str) -> float:
+        """value, or DomainError naming the ratio that overflowed a float."""
+        if value == math.inf:
+            raise DomainError(f"{name} overflows a float at f={self.f}, h={self.h}, L={self.L}")
+        return value
+
     @property
     def lam(self) -> float:
-        return self.f**self.q / self.h
+        return self._finite(self.f**self.q / self.h, "lam = f^q/h")
 
     @property
     def mu(self) -> float:
-        return self.L / self.f
+        return self._finite(self.L / self.f, "mu = L/f")
 
     @property
     def c(self) -> float:
         z = ((1.0 - self.q) * self.L**self.q + self.q * self.L ** (self.q - 1.0) * self.f) / self.h
-        return omega_q(z, self.q)
+        return omega_q(self._finite(z, "the Bellman argument z"), self.q)
 
     @property
     def value(self) -> float:

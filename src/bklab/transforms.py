@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,25 +109,25 @@ def _family_leaves(family, lin: Linearization, spec: TreeSpec, *, maximal: bool)
     """Validate a family against S_phi and return the union of its leaves.
 
     Tree elements overlap exactly when one contains the other, so disjointness
-    and comparability both reduce to interval tests on leaf index ranges.
+    and comparability both reduce to tests on the leaves covered so far.
     """
     family = list(family)
     if not family:
         raise DomainError("family must contain at least one element")
-    members = frozenset(lin.elements)
     spans = []
     for el in family:
-        if el not in members:
+        if el not in lin.averages:
             raise FamilyNotInSPhiError(f"{el} is not in S_phi")
         spans.append(el.leaf_range(spec))
-    for i, a in enumerate(spans):
-        for b in spans[i + 1:]:
-            if a.start < b.stop and b.start < a.stop:
-                raise DomainError("family elements are not pairwise disjoint")
+    covered = bytearray(spec.n_leaves)
+    for r in spans:
+        if covered.find(1, r.start, r.stop) >= 0:
+            raise DomainError("family elements are not pairwise disjoint")
+        covered[r.start:r.stop] = b"\1" * len(r)
     if maximal:
         for el in lin.elements:
             r = el.leaf_range(spec)
-            if all(r.stop <= s.start or s.stop <= r.start for s in spans):
+            if covered.find(1, r.start, r.stop) < 0:
                 raise FamilyNotMaximalError(
                     f"{el} in S_phi is comparable with no family member"
                 )
@@ -145,12 +146,12 @@ def random_maximal_family(lin: Linearization, spec: TreeSpec, rng) -> tuple[Tree
     order = list(lin.elements)
     rng.shuffle(order)
     chosen: list[TreeElement] = []
-    spans: list[range] = []
+    covered = bytearray(spec.n_leaves)
     for el in order:
         r = el.leaf_range(spec)
-        if all(r.stop <= s.start or s.stop <= r.start for s in spans):
+        if covered.find(1, r.start, r.stop) < 0:
             chosen.append(el)
-            spans.append(r)
+            covered[r.start:r.stop] = b"\1" * len(r)
     return tuple(sorted(chosen))
 
 
@@ -172,11 +173,12 @@ _GAP_KINDS = {
 
 
 def _gap_sweep(kind, phi, spec, q, family, betas, lin=None, floats=None, norm1=None):
-    """One InequalityGap per beta for one evaluator kind and one family.
+    """lhs and the rhs at each beta for one evaluator kind and one family.
 
-    Everything but the final rhs formula is independent of beta and is
-    computed once.  A caller that already holds lin, ``_leaf_floats`` and
-    ``float(phi.integral())`` passes them as ``lin``, ``floats`` and ``norm1``.
+    lhs does not depend on beta, and everything in the rhs but its final
+    formula is computed once.  A caller that already holds lin, the float leaf
+    values of M phi and of phi, and ``float(phi.integral())`` passes them as
+    ``lin``, ``floats`` and ``norm1``.
     """
     for beta in betas:
         if beta <= 0:
@@ -186,23 +188,21 @@ def _gap_sweep(kind, phi, spec, q, family, betas, lin=None, floats=None, norm1=N
     family = tuple(family)
     if floats is None:
         levels, scale = _tree_levels(phi, spec)
-        floats = _leaf_floats(levels, scale, spec.m)
-        lin = lin if lin is not None else _linearize(levels, scale, spec)
+        best, depths = _running_max(levels, spec.m)
+        floats = _unscale_floats(best, scale), _unscale_floats(levels[-1], scale)
+        lin = lin if lin is not None else _linearize(levels, scale, spec, depths)
     union = _family_leaves(family, lin, spec, maximal=maximal)
     mvals, lvals = floats
-    w = float(spec.leaf_measure)
-    e1 = sum(float(el.measure(spec.m)) * float(lin.averages[el]) ** q for el in family)
+    m, w = spec.m, float(spec.leaf_measure)
+    e1 = sum(1 / m**el.depth * float(lin.averages[el]) ** q for el in family)
     if complement:
         region = [i for i in range(spec.n_leaves) if i not in union]
-        fq = (float(phi.integral()) if norm1 is None else norm1) ** q
-        e = fq - e1
+        e = (float(phi.integral()) if norm1 is None else norm1) ** q - e1
     else:
         region, e = union, e1
     lhs = sum(mvals[i] ** q for i in region) * w
     s = sum(lvals[i] ** q for i in region) * w
-    return [InequalityGap(beta=beta, lhs=lhs,
-                          rhs=((beta + 1.0) * e - (beta + 1.0) ** q * s) / ((1.0 - q) * beta))
-            for beta in betas]
+    return lhs, [((beta + 1.0) * e - (beta + 1.0) ** q * s) / ((1.0 - q) * beta) for beta in betas]
 
 
 def theorem41_gap(phi, spec: TreeSpec, q: float, family, beta: float,
@@ -212,19 +212,22 @@ def theorem41_gap(phi, spec: TreeSpec, q: float, family, beta: float,
     lhs = integral of (M phi)^q off the union; rhs uses the family averages
     and the q-mass of phi off the union.
     """
-    return _gap_sweep("theorem41", phi, spec, q, family, [beta], lin)[0]
+    lhs, (rhs,) = _gap_sweep("theorem41", phi, spec, q, family, [beta], lin)
+    return InequalityGap(beta=beta, lhs=lhs, rhs=rhs)
 
 
 def theorem42_gap(phi, spec: TreeSpec, q: float, family, beta: float,
                   lin: Linearization | None = None) -> InequalityGap:
     """Gap over the union of a disjoint family in S_phi (no maximality needed)."""
-    return _gap_sweep("theorem42", phi, spec, q, family, [beta], lin)[0]
+    lhs, (rhs,) = _gap_sweep("theorem42", phi, spec, q, family, [beta], lin)
+    return InequalityGap(beta=beta, lhs=lhs, rhs=rhs)
 
 
 def corollary41_gap(phi, spec: TreeSpec, q: float, family, beta: float,
                     lin: Linearization | None = None) -> InequalityGap:
     """Complement-side gap for a disjoint family without the maximality demand."""
-    return _gap_sweep("corollary41", phi, spec, q, family, [beta], lin)[0]
+    lhs, (rhs,) = _gap_sweep("corollary41", phi, spec, q, family, [beta], lin)
+    return InequalityGap(beta=beta, lhs=lhs, rhs=rhs)
 
 
 def optimal_beta(e1: float, s: float, q: float) -> float:
@@ -446,44 +449,50 @@ def verify_suite(n_phi: int, spec: TreeSpec, q: float, *, n_beta: int = 50,
     for name, value in (("n_phi", n_phi), ("n_beta", n_beta)):
         if value < 1:
             raise DomainError(f"{name} must be at least 1, got {value}")
+    # the rhs divides by (1-q) beta: a subnormal or underflowing grid overflows it
     for name, value in (("beta_lo", beta_lo), ("beta_hi", beta_hi)):
-        if not (0.0 < value < math.inf):
-            raise DomainError(f"{name} must be finite and positive, got {value}")
+        if not (sys.float_info.min <= value < math.inf):
+            raise DomainError(f"{name} must be finite and normal (>= 2.2e-308), got {value}")
+    ratio = beta_hi / beta_lo
+    if not (sys.float_info.min <= ratio < math.inf):
+        raise DomainError(f"beta_hi / beta_lo must be finite and normal, got {ratio}")
     rng = random.Random(seed)
-    betas = [beta_lo * (beta_hi / beta_lo) ** (i / (n_beta - 1)) for i in range(n_beta)] \
+    betas = [beta_lo * ratio ** (i / (n_beta - 1)) for i in range(n_beta)] \
         if n_beta > 1 else [beta_lo]
-    rows = []  # (phi id, kind, label, gap), one per check
+    batches = []  # (phi id, kind, label, betas, lhs per beta, rhs per beta)
     for pid in range(n_phi):
         phi = random_step_function(rng, spec)
         levels, scale = _tree_levels(phi, spec)
-        lin = _linearize(levels, scale, spec)
+        best, depths = _running_max(levels, spec.m)
+        lin = _linearize(levels, scale, spec, depths)
         fam_max = random_maximal_family(lin, spec, rng)
         fam_dis = random_disjoint_family(lin, spec, rng)
-        mvals, lvals = _leaf_floats(levels, scale, spec.m)
+        floats = mvals, lvals = _unscale_floats(best, scale), _unscale_floats(levels[-1], scale)
         norm1 = float(phi.integral())
         for kind, (maximal, _) in _GAP_KINDS.items():
             fam, label = (fam_max, "maximal") if maximal else (fam_dis, "disjoint")
-            for gap in _gap_sweep(kind, phi, spec, q, fam, betas, lin, (mvals, lvals), norm1):
-                rows.append((pid, kind, f"{kind}:{label}", gap))
+            lhs, rhss = _gap_sweep(kind, phi, spec, q, fam, betas, lin, floats, norm1)
+            batches.append((pid, kind, f"{kind}:{label}", betas, [lhs] * n_beta, rhss))
         top = float(max(lin.averages.values(), default=0.0)) or 1.0
-        for _ in range(5):
-            lam = top * math.exp(rng.uniform(math.log(1e-3), math.log(1.2)))
-            rows.append((pid, "weak_type", "weak_type:level",
-                         _weak_type_slack(mvals, lvals, lam, spec)))
+        lams = [top * math.exp(rng.uniform(math.log(1e-3), math.log(1.2))) for _ in range(5)]
+        weak = [_weak_type_slack(mvals, lvals, lam, spec) for lam in lams]
         unions = [list(range(spec.n_leaves))]
         for _ in range(2):
             unions.append([i for i in range(spec.n_leaves) if rng.random() < 0.5])
-        for leaves in unions:
-            rows.append((pid, "kolmogorov", "kolmogorov:union",
-                         _kolmogorov_slack(mvals, norm1, q, leaves, spec)))
-    if collect is not None:
-        collect.extend((f"phi{pid}", label, gap) for pid, _, label, gap in rows)
-    slacks = [(kind, gap.slack) for _, kind, _, gap in rows]
-    return VerifyReport(
-        n_phi=n_phi,
-        n_checks=len(rows),
-        n_violations=sum(s < -1e-12 for _, s in slacks),
-        min_slack=min([math.inf, *(s for _, s in slacks)]),
-        min_slack_by_kind={kind: min([math.inf, *(s for k, s in slacks if k == kind)])
-                           for kind in (*_GAP_KINDS, "weak_type", "kolmogorov")},
-    )
+        kolm = [_kolmogorov_slack(mvals, norm1, q, leaves, spec) for leaves in unions]
+        for kind, label, gaps in (("weak_type", "weak_type:level", weak),
+                                  ("kolmogorov", "kolmogorov:union", kolm)):
+            batches.append((pid, kind, label, *zip(*((g.beta, g.lhs, g.rhs) for g in gaps))))
+    # one pass in row order: each min is taken as min([inf, *slacks in row order]) would
+    lows = dict.fromkeys((*_GAP_KINDS, "weak_type", "kolmogorov"), math.inf)
+    low, n_violations = math.inf, 0
+    for pid, kind, label, bs, lhss, rhss in batches:
+        slacks = [rhs - lhs for lhs, rhs in zip(lhss, rhss)]
+        n_violations += sum(1 for s in slacks if s < -1e-12)
+        lows[kind] = min([lows[kind], *slacks])
+        low = min([low, *slacks])
+        if collect is not None:
+            collect.extend((f"phi{pid}", label, InequalityGap(beta=b, lhs=lhs, rhs=rhs))
+                           for b, lhs, rhs in zip(bs, lhss, rhss))
+    return VerifyReport(n_phi=n_phi, n_checks=sum(len(b[3]) for b in batches),
+                        n_violations=n_violations, min_slack=low, min_slack_by_kind=lows)

@@ -161,6 +161,17 @@ class TestExitCodes:
         assert got["tau"] == BellmanParams(q=float(q), f=1.0, h=float(h), L=1.2).tau
         assert got["tau"] == 0.0
 
+    @pytest.mark.parametrize("f, h, L, name", [
+        ("1e-300", "1e-151", "1e300", "mu = L/f"),
+        ("1e300", "1e-300", "1e300", "the Bellman argument z"),
+    ])
+    def test_bellman_names_the_overflowing_ratio(self, capsys, f, h, L, name):
+        code, out, err = run_cli(capsys, "bellman", "--q", "0.5", "--f", f, "--h", h, "--L", L)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"domain error: {name}")
+        assert "overflows a float" in err
+
     @pytest.mark.parametrize("argv", [
         ("search", "--N", "4", "--budget", "10"),
         ("search", "--oracle", "--N", "2"),
@@ -547,6 +558,7 @@ class TestVerifyCommand:
         ("--beta-lo", "0", "beta_lo"),
         ("--beta-points", "-2", "n_beta"),
         ("--n", "0", "n_phi"),
+        ("--beta-lo", "1e-320", "beta_lo"),
     ])
     def test_bad_argument_is_domain_error(self, capsys, flag, value, name):
         args = {"--N": "3", "--q": "0.5", "--n": "1", "--seed": "0", flag: value}

@@ -625,3 +625,87 @@ class TestExactCore:
         assert calls == 80
         assert digest.hexdigest() == (
             "b11b420dc40344d0206113e787cdc51a1c5e7bf8c8638c08466255dc3f2cf908")
+
+
+def reference_integral(phi):
+    """integral() as first written: one Fraction difference per piece, summed in order."""
+    total = 0
+    for i, v in enumerate(phi.values):
+        total += v * (phi.breakpoints[i + 1] - phi.breakpoints[i])
+    return total
+
+
+def number_key(x):
+    """Type and every bit: a float by its hex (the sign of zero included), else its value."""
+    return type(x).__name__, x.hex() if isinstance(x, float) else x
+
+
+# breakpoints with small, huge, leaf-aligned and unrelated denominators
+BREAKPOINTS = st.one_of(
+    st.fractions(0, 1, max_denominator=1000),
+    st.builds(Fraction, st.integers(1, 2**70 - 1), st.just(2**70)),
+    st.builds(Fraction, st.integers(1, 3**45 - 1), st.just(3**45)),
+).filter(lambda x: 0 < x < 1)
+FLOAT_PIECES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308]), st.floats(0.0, 1e300))
+EXACT_PIECES = st.one_of(st.integers(0, 10**6), st.fractions(0, 10**6, max_denominator=10**9))
+
+
+@st.composite
+def any_step_functions(draw, values):
+    inner = draw(st.lists(BREAKPOINTS, unique=True, max_size=12))
+    bps = [Fraction(0), *sorted(inner), Fraction(1)]
+    return StepFunction(bps, draw(st.lists(values, min_size=len(bps) - 1,
+                                           max_size=len(bps) - 1)))
+
+
+# leaf values as from_leaf_values accepts them: plain and NumPy floats, ints, Fractions
+LEAF_VALUES = st.one_of(FLOAT_PIECES, FLOAT_PIECES.map(np.float64), EXACT_PIECES)
+BAD_VALUES = [math.nan, -math.nan, math.inf, -math.inf, -1.0, -5e-324, np.float64(math.nan),
+              -3, Fraction(-1, 3), True, False]
+
+
+class TestIntegralAndLeafValues:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(any_step_functions(st.one_of(FLOAT_PIECES, EXACT_PIECES)))
+    def test_integral_matches_fraction_differences(self, phi):
+        assert number_key(phi.integral()) == number_key(reference_integral(phi))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from(SHAPES).flatmap(lambda s: st.tuples(
+        st.just(TreeSpec(*s)), st.lists(LEAF_VALUES, min_size=s[0]**s[1], max_size=s[0]**s[1]))))
+    def test_from_leaf_values_keeps_every_bit(self, case):
+        spec, vals = case
+        want = []  # the first value of each run of equal values, ints promoted
+        for v in vals:
+            v = Fraction(v) if isinstance(v, int) else float(v) if isinstance(v, float) else v
+            want.append(want[-1] if want and v == want[-1] else v)
+        got = StepFunction.from_leaf_values(vals, spec).leaf_values(spec)
+        assert [number_key(v) for v in got] == [number_key(v) for v in want]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(LEAF_VALUES, min_size=4, max_size=4), st.sampled_from(BAD_VALUES),
+           st.integers(0, 3))
+    def test_from_leaf_values_refuses_bad_values(self, vals, bad, at):
+        vals[at] = bad
+        with pytest.raises(DomainError):
+            StepFunction.from_leaf_values(vals, TreeSpec(2, 2))
+
+    def test_integral_pinned(self):
+        # recorded while integral() summed one Fraction difference per piece;
+        # the breakpoints mix leaf-aligned and unrelated denominators
+        digest = hashlib.sha256()
+        rng = random.Random(23)
+        dens = (2**6, 3**4, 10, 7 * 2**5, 2**70, 3**45)
+        for trial in range(150):
+            inner = {Fraction(rng.randrange(1, d), d)
+                     for d in (rng.choice(dens) for _ in range(rng.randrange(0, 10)))}
+            bps = [0, *sorted(inner), 1]
+            vals = []
+            for _ in range(len(bps) - 1):
+                if trial % 3 == 0 or (trial % 3 == 2 and rng.random() < 0.5):
+                    vals.append(math.exp(rng.gauss(0.0, 3.0)) if rng.random() > 0.1 else 0.0)
+                else:
+                    vals.append(Fraction(rng.randrange(0, 10**6), rng.randrange(1, 10**4)))
+            digest.update(repr(number_key(StepFunction(bps, vals).integral())).encode())
+        assert digest.hexdigest() == (
+            "20962c66508a27bb3f89e47fbc7b1a894724561a481c82ce915f0c3b94822741")

@@ -409,6 +409,19 @@ class TestBellmanParams:
         assert p.tau == 1.2 * p.c ** (-1.0 / q)
         assert 0.0 <= p.tau < 2.0**-1022
 
+    @pytest.mark.parametrize("f, h, L, attr, name", [
+        (1e-300, 1e-151, 1e300, "mu", r"mu = L/f"),
+        (1e-300, 1e-151, 1e300, "k0", r"mu = L/f"),
+        (1e300, 1e-300, 1e300, "lam", r"lam = f\^q/h"),
+        (1e300, 1e-300, 1e300, "c", r"Bellman argument z"),
+        (1e300, 1e-300, 1e300, "value", r"Bellman argument z"),
+    ])
+    def test_overflowing_ratio_is_named(self, f, h, L, attr, name):
+        # feasible data whose ratio leaves the float range
+        p = BellmanParams(q=0.5, f=f, h=h, L=L)
+        with pytest.raises(DomainError, match=f"{name}.* overflows a float"):
+            getattr(p, attr)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             BellmanParams(q=1.2, f=1.0, h=0.5, L=1.0)

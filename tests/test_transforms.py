@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bklab.dyadic import (
     ROOT,
@@ -28,6 +30,7 @@ from bklab.kernel import BellmanParams, omega_q
 from bklab.transforms import (
     GAP_CSV_HEADER,
     InequalityGap,
+    _family_leaves,
     ancestor_max_averages,
     corollary41_gap,
     default_refine,
@@ -157,6 +160,30 @@ class TestEvaluatorBits:
         assert digest.hexdigest() == (
             "4cae933f413edfad7678e9f80db392ae35b58128d55b1b3c958726c721558ed6")
 
+    def test_gap_evaluators_pinned(self):
+        # recorded while each evaluator built one InequalityGap per beta and
+        # checked its family pair by pair; lin given and rebuilt, exact and float phi
+        digest = hashlib.sha256()
+        rng = random.Random(65)
+        for (m, depth), q in (((2, 5), 0.5), ((3, 3), 0.3), ((4, 3), 0.7)):
+            spec = TreeSpec(m, depth)
+            for exact in (False, True, False):
+                phi = random_step_function(rng, spec, exact=exact)
+                lin = linearize(phi, spec)
+                fam_max = random_maximal_family(lin, spec, rng)
+                fam_dis = random_disjoint_family(lin, spec, rng)
+                digest.update(repr((fam_max, fam_dis)).encode())
+                for beta in (1e-3, 0.37, 1.0, 25.0, 1e3):
+                    for fn, fam in ((theorem41_gap, fam_max), (theorem42_gap, fam_max),
+                                    (theorem42_gap, fam_dis), (corollary41_gap, fam_dis),
+                                    (corollary41_gap, fam_max)):
+                        for held in (None, lin):
+                            gap = fn(phi, spec, q, fam, beta, lin=held)
+                            digest.update(f"{gap.beta.hex()} {gap.lhs.hex()} {gap.rhs.hex()}\n"
+                                          .encode())
+        assert digest.hexdigest() == (
+            "662b552fdd1c7dbb34374912ae646da65bbe6f5c31112bc1c0981d5e8cc48d64")
+
 
 class TestFamilyValidation:
     def setup_method(self):
@@ -197,6 +224,91 @@ class TestFamilyValidation:
             theorem42_gap(self.phi, self.spec, 0.5, [ROOT], 0.0, lin=self.lin)
         with pytest.raises(DomainError):
             theorem41_gap(self.phi, self.spec, 0.5, [ROOT], -1.0, lin=self.lin)
+
+
+def pairwise_family_leaves(family, lin, spec, *, maximal):
+    """Family validation by comparing every pair of leaf ranges, as first written."""
+    family = list(family)
+    if not family:
+        raise DomainError("family must contain at least one element")
+    members = frozenset(lin.elements)
+    spans = []
+    for el in family:
+        if el not in members:
+            raise FamilyNotInSPhiError(f"{el} is not in S_phi")
+        spans.append(el.leaf_range(spec))
+    for i, a in enumerate(spans):
+        for b in spans[i + 1:]:
+            if a.start < b.stop and b.start < a.stop:
+                raise DomainError("family elements are not pairwise disjoint")
+    if maximal:
+        for el in lin.elements:
+            r = el.leaf_range(spec)
+            if all(r.stop <= s.start or s.stop <= r.start for s in spans):
+                raise FamilyNotMaximalError(f"{el} in S_phi is comparable with no family member")
+    leaves = set()
+    for r in spans:
+        leaves.update(r)
+    return leaves
+
+
+def pairwise_maximal_family(lin, spec, rng):
+    """random_maximal_family by comparing each candidate with every accepted range."""
+    order = list(lin.elements)
+    rng.shuffle(order)
+    chosen, spans = [], []
+    for el in order:
+        r = el.leaf_range(spec)
+        if all(r.stop <= s.start or s.stop <= r.start for s in spans):
+            chosen.append(el)
+            spans.append(r)
+    return tuple(sorted(chosen))
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the class of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except DomainError as exc:
+        return type(exc)
+
+
+@st.composite
+def functions_and_families(draw):
+    m, depth = draw(st.sampled_from([(2, 5), (3, 3)]))
+    spec = TreeSpec(m, depth)
+    phi = random_step_function(random.Random(draw(st.integers(0, 2**32 - 1))), spec)
+    lin = linearize(phi, spec)
+    base = random_maximal_family(lin, spec, random.Random(draw(st.integers(0, 99))))
+    anywhere = st.integers(0, depth).flatmap(
+        lambda d: st.builds(TreeElement, st.just(d), st.integers(0, m**d - 1)))
+    family = draw(st.one_of(
+        st.permutations(base),
+        st.lists(st.sampled_from(base), max_size=len(base) + 1),
+        st.lists(st.one_of(st.sampled_from(lin.elements), anywhere), max_size=6),
+    ))
+    return spec, lin, family
+
+
+class TestFamilyHelpers:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(functions_and_families(), st.booleans())
+    def test_family_leaves_match_pairwise_reference(self, case, maximal):
+        spec, lin, family = case
+        got = outcome(_family_leaves, family, lin, spec, maximal=maximal)
+        want = outcome(pairwise_family_leaves, family, lin, spec, maximal=maximal)
+        assert got == want
+        if isinstance(want, set):
+            assert list(got) == list(want)  # the union side sums in this order
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from([(2, 5), (3, 3)]), st.integers(0, 2**32 - 1))
+    def test_random_maximal_family_matches_pairwise_reference(self, shape, seed):
+        spec = TreeSpec(*shape)
+        lin = linearize(random_step_function(random.Random(seed), spec), spec)
+        mine, ref = random.Random(seed), random.Random(seed)
+        assert random_maximal_family(lin, spec, mine) == pairwise_maximal_family(lin, spec, ref)
+        assert mine.getstate() == ref.getstate()
 
 
 class TestGapEvaluators:
@@ -408,6 +520,23 @@ class TestVerifySuite:
             "kolmogorov": "0x1.35c486c6078e6p-1",
         }
 
+    def test_pinned_rows_off_the_binary_tree(self):
+        # recorded while the suite built one InequalityGap per row and ran the
+        # running max twice per function
+        digest = hashlib.sha256()
+        for (m, depth, q), seed, grid in (((3, 4, 0.3), 5, (1e-3, 1e3)),
+                                          ((4, 3, 0.7), 6, (1e-2, 50.0))):
+            rows = []
+            rep = verify_suite(8, TreeSpec(m, depth), q, n_beta=30, beta_lo=grid[0],
+                               beta_hi=grid[1], seed=seed, collect=rows)
+            for p, lab, g in rows:
+                digest.update(f"{p},{lab},{g.beta.hex()},{g.lhs.hex()},{g.rhs.hex()}\n".encode())
+            digest.update(repr((rep.n_phi, rep.n_checks, rep.n_violations, rep.min_slack.hex(),
+                                {k: v.hex() for k, v in rep.min_slack_by_kind.items()})).encode())
+            assert len(rows) == rep.n_checks == 8 * (3 * 30 + 5 + 3)
+        assert digest.hexdigest() == (
+            "8a6e5e94b15fc67a0ec07e1f5031a9b2d5da85492d76ab435a132894e243aa86")
+
     @pytest.mark.parametrize("kwargs, name", [
         ({"n_phi": 0}, "n_phi"),
         ({"n_beta": 0}, "n_beta"),
@@ -416,6 +545,8 @@ class TestVerifySuite:
         ({"beta_lo": math.inf}, "beta_lo"),
         ({"beta_hi": -1.0}, "beta_hi"),
         ({"beta_hi": math.nan}, "beta_hi"),
+        ({"beta_lo": 1e300, "beta_hi": 1e-300}, "beta_hi / beta_lo"),
+        ({"beta_lo": 1e-320, "beta_hi": 1e-310}, "beta_lo"),
     ])
     def test_bad_arguments_raise_and_name_themselves(self, kwargs, name):
         n_phi = kwargs.pop("n_phi", 1)
