@@ -642,12 +642,13 @@ def _weak_type_slack(mvals, leaf_vals, lam, spec: TreeSpec, scale=None) -> Inequ
 
 def kolmogorov_gap(phi: StepFunction, q: float, leaves, spec: TreeSpec) -> InequalityGap:
     """integral_E (M phi)^q <= (1-q)^-1 mu(E)^(1-q) ||phi||_1^q for any leaf union E."""
-    mvals, _ = _leaf_floats(*_tree_levels(phi, spec), spec.m)
-    return _kolmogorov_slack(mvals, float(phi.integral()), q, leaves, spec)
+    levels, scale = _tree_levels(phi, spec)
+    mvals, _ = _leaf_floats(levels, scale, spec.m)
+    return _kolmogorov_slack(mvals, _unscale_floats(levels[0], scale)[0], q, leaves, spec)
 
 
 def _kolmogorov_slack(mvals, norm1: float, q: float, leaves, spec: TreeSpec) -> InequalityGap:
-    """kolmogorov_gap from the float leaf values of M phi and norm1 = ||phi||_1."""
+    """kolmogorov_gap from the float leaf values of M phi and norm1 = ||phi||_1, a root average."""
     _check_q(q)
     leaves = sorted(set(leaves))
     if leaves and not (0 <= leaves[0] and leaves[-1] < spec.n_leaves):

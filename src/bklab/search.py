@@ -7,6 +7,9 @@ optimality gap.  The optimizer is greedy multi-start local search; the core
 move rewrites three cells, one freely and the other two by 1-D root-finding
 so that both moments are restored exactly.  Swap and block-sort moves, which
 preserve the moments trivially, speed up the combinatorial packing part.
+A closing tail parks below-floor cells at the flat level tau to lower the
+extremality defect.  It takes only moves certified to keep max(M phi, L) bit
+for bit, so it never changes the objective.
 
 Restarts are independent, each seeded from (seed, restart index), so reports
 are reproducible for a fixed seed.
@@ -72,7 +75,8 @@ def project_to_moments(values, f: float, h: float, q: float) -> np.ndarray:
 
     The exponent b is found by bisection on the q-mass after the mass has
     been eliminated through a = f / mean(v**b); all powers are taken in log
-    space so large exponents cannot overflow.
+    space so large exponents cannot overflow, through math's exp and log so
+    their bits do not depend on NumPy's CPU-dispatched loops.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
@@ -87,12 +91,12 @@ def project_to_moments(values, f: float, h: float, q: float) -> np.ndarray:
     npos = int(pos.sum())
     if npos == 0:
         raise InfeasibleStartError("cannot repair the zero function")
-    u = np.log(v[pos])
+    u = np.array([math.log(x) for x in v[pos].tolist()])
     logf, logh = math.log(f), math.log(h)
 
     def log_mean_pow(t):
         s = t.max()
-        return s + math.log(np.exp(t - s).sum() / n)
+        return s + math.log(sum(map(math.exp, (t - s).tolist())) / n)
 
     def excess(b):
         lm = log_mean_pow(b * u)
@@ -135,7 +139,7 @@ def project_to_moments(values, f: float, h: float, q: float) -> np.ndarray:
     b = 0.5 * (lo + hi)
     la = logf - log_mean_pow(b * u)
     out = np.zeros(n)
-    out[pos] = np.exp(la + b * u)
+    out[pos] = [math.exp(x) for x in (la + b * u).tolist()]
     out *= f / out.mean()
     if abs(out.mean() - f) > 1e-10 * max(1.0, f):
         raise InfeasibleStartError("mass repair did not converge")
@@ -216,7 +220,8 @@ def _seed_values(params: BellmanParams, spec: TreeSpec, ridx: int, rng) -> np.nd
     of the depth-D subtrees each get a profile growing geometrically block
     by block toward a spike on their first leaf, and the rest stay at tau.
     It halves blocks, so it assumes m = 2; on trees of fewer than 2m leaves
-    it falls back to kind 3.
+    it falls back to kind 3.  Powers are Python's, not NumPy's CPU-dispatched
+    loops, so a shape's bits do not depend on the CPU.
     """
     n = spec.n_leaves
     tau = params.tau
@@ -278,13 +283,12 @@ def _seed_values(params: BellmanParams, spec: TreeSpec, ridx: int, rng) -> np.nd
     elif kind == 1:
         ratio = 1.0 / (2.0 * params.tau / params.L)
         alpha = math.log(max(ratio, 1.1), spec.m) * rng.uniform(0.8, 1.2)
-        x = (np.arange(K) + 0.5) / n
-        vals[:K] = params.L * (K / n / x) ** alpha
+        vals[:K] = [params.L * (K / n / ((i + 0.5) / n)) ** alpha for i in range(K)]
     elif kind == 2:
         # cap the ratio so g**K stays finite on deep trees (the cap never
         # bites at depth <= 8, where K < 256)
         g = min(rng.uniform(1.2, 3.0), math.exp(700.0 / K))
-        prof = g ** np.arange(K, 0, -1, dtype=float)
+        prof = np.array([g**e for e in range(K, 0, -1)])
         vals[:K] = params.L * prof / prof[-1]
     else:
         for i in range(K):
@@ -314,8 +318,9 @@ def _three_cell_targets(vi, vj, vk, t, q):
 
     Solves a + b = s1, a^q + b^q = s2 with a <= b; solvable exactly when
     s1^q <= s2 <= 2^(1-q) s1^q since a -> a^q + (s1-a)^q increases on
-    [0, s1/2].  Works in Python floats: the same IEEE operations as on
-    numpy scalars, without their dispatch cost in the bisection.
+    [0, s1/2].  It bisects on y = a^q, the q-mass to match: near a = 0 a
+    small error in a is a far larger one in a^q when q is small.  Python
+    floats: the same IEEE operations as numpy scalars, without their dispatch.
     """
     vi, vj, vk, t = float(vi), float(vj), float(vk), float(t)
     s1 = vi + vj + vk - t
@@ -332,15 +337,16 @@ def _three_cell_targets(vi, vj, vk, t, q):
         return 0.0, s1
     if s2 >= high:
         return 0.5 * s1, 0.5 * s1
-    lo, hi = 0.0, 0.5 * s1
+    p = 1.0 / q
+    lo, hi = 0.0, (0.5 * s1) ** q
     # a fixed 48 steps, not kernel._bisect's run to float exhaustion
     for _ in range(48):
         mid = 0.5 * (lo + hi)
-        if mid**q + (s1 - mid) ** q < s2:
+        if mid + (s1 - mid**p) ** q < s2:
             lo = mid
         else:
             hi = mid
-    a = 0.5 * (lo + hi)
+    a = (0.5 * (lo + hi)) ** p
     return a, s1 - a
 
 
@@ -401,52 +407,35 @@ def _consolidate_tail(vals, params, spec):
     ignore them, charging |L - c^(1/q) v|^q per cell.  With q < 1 that
     penalty shrinks under concentration (sum |d_i|^q drops when scattered
     errors merge into few cells), so each sweep sets below-floor cells to
-    tau exactly and routes the two-moment correction into two fixed
-    reservoir cells.  A move is kept only if the objective does not drop
-    and the defect strictly drops.  Returns (objective, defect, vals).
-
-    A cell's candidate batch that _floor_fixed certifies keeps the objective
-    bit for bit, so it is scored by its defect alone against the current
-    floor, and mx is carried over: its < L mask and its values >= L, all the
-    pass reads of it, stay exact.  Other batches are scored in full.
+    tau exactly and routes the two-moment correction into two reservoir
+    cells.  Only moves _floor_fixed certifies are taken: they keep
+    max(M phi, L) and its < L mask bit for bit, so the objective never
+    changes and the defect changes only in the three moved cells.  Each cell
+    takes the (pair, orientation) that lowers the defect most, if any does.
+    Returns (objective, defect, vals).
     """
     m, depth, n = spec.m, spec.depth, spec.n_leaves
-    q, L = params.q, params.L
-    root = params.eigenvalue_root
-    tau = params.tau
-    w = 1.0 / n
-
-    def residual(floor, v):
-        return (np.abs(floor - root * v) ** q).sum(axis=-1) * w
-
-    def score(v):
-        obj, mx = _objective(v, L, q, m, depth)
-        return obj, residual(np.where(mx >= L, mx, L), v), mx
-
-    cur_obj, cur_res, mx = score(vals)
-    cur_obj, cur_res = float(cur_obj), float(cur_res)
-    floor = np.where(mx >= L, mx, L)
+    q, L, root, tau = params.q, params.L, params.eigenvalue_root, params.tau
+    obj, mx = _objective(vals, L, q, m, depth)
     room = _headroom(vals, L, m, depth)
-    for _ in range(2):
-        slack = np.flatnonzero(mx < L)
-        if slack.size < 3:
-            break
-        order = slack[np.argsort(-vals[slack], kind="stable")]
-        # candidate reservoir pairs: removing mass wants two heavy cells,
-        # adding mass wants a lopsided pair to stay inside the solvability
-        # band s1^q <= s2 <= 2^(1-q) s1^q
-        pairs = [(int(order[0]), int(order[1]))]
-        if order.size >= 3:
-            pairs.append((int(order[0]), int(order[-1])))
-            pairs.append((int(order[-2]), int(order[-1])))
+    slack = np.flatnonzero(mx < L)
+
+    def term(v):
+        # a below-floor cell's share of the defect, times n
+        return abs(L - root * v) ** q
+
+    # certified moves keep the < L mask, so every sweep has the same slack
+    for _ in range(2 if slack.size >= 3 else 0):
+        order = slack[np.argsort(-vals[slack], kind="stable")].tolist()
+        # reservoir pairs: removing mass wants two heavy cells, adding mass
+        # wants a lopsided pair to stay inside the solvability band
+        # s1^q <= s2 <= 2^(1-q) s1^q
+        pairs = ((order[0], order[1]), (order[0], order[-1]), (order[-2], order[-1]))
         changed = False
-        for i in slack:
-            i = int(i)
+        for i in slack.tolist():
             if vals[i] == tau:
                 continue
-            # every (pair, orientation) candidate for cell i, scored in one
-            # batch and then visited in order
-            moves = []
+            best, move = 0.0, None
             for r1, r2 in pairs:
                 if i == r1 or i == r2:
                     continue
@@ -454,40 +443,23 @@ def _consolidate_tail(vals, params, spec):
                 if sol is None:
                     continue
                 a, b = sol
-                moves.append((r1, r2, a, b))
-                moves.append((r1, r2, b, a))
-            if not moves:
-                continue
-            cand = np.tile(vals, (len(moves), 1))
-            cand[:, i] = tau
-            for row, (r1, r2, aa, bb) in enumerate(moves):
-                cand[row, r1], cand[row, r2] = aa, bb
-            # the reservoirs were picked at the start of the sweep and may
-            # have left the slack since, so the certificate reads today's mx
-            fixed = _floor_fixed(vals, mx, room, (((i, r1, r2), (tau, aa, bb))
-                                                  for r1, r2, aa, bb in moves), L)
-            if fixed:
-                objs, ress = np.full(len(moves), cur_obj), residual(floor, cand)
-            else:
-                objs, ress, mxs = score(cand)
-            best = None
-            for row in range(len(moves)):
-                obj, res = float(objs[row]), float(ress[row])
-                if obj >= cur_obj - 1e-12 and res < cur_res - 1e-15:
-                    if best is None or res < best[1]:
-                        best = (obj, res, row)
-            if best is not None:
-                cur_obj, cur_res, row = best
-                r1, r2, aa, bb = moves[row]
-                vals[i], vals[r1], vals[r2] = tau, aa, bb
-                if not fixed:
-                    mx = mxs[row]
-                    floor = np.where(mx >= L, mx, L)
+                gain = (term(vals.item(i)) + term(vals.item(r1)) + term(vals.item(r2))
+                        - term(tau) - term(a) - term(b))
+                if gain <= best:
+                    continue
+                # both orientations change the defect alike: take the first certified
+                for a, b in (sol, sol[::-1]):
+                    if _floor_fixed(vals, mx, room, [((i, r1, r2), (tau, a, b))], L):
+                        best, move = gain, (r1, r2, a, b)
+                        break
+            if move is not None:
+                r1, r2, a, b = move
+                vals[i], vals[r1], vals[r2] = tau, a, b
                 room = _headroom(vals, L, m, depth)
                 changed = True
         if not changed:
             break
-    return cur_obj, cur_res, vals
+    return float(obj), float((np.abs(np.maximum(mx, L) - root * vals) ** q).sum() / n), vals
 
 
 # candidate rows per leaf_maximal call in the greedy loop: at depth 8 a lone

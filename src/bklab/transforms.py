@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import (
+    ROOT,
     ExcessSet,
     InequalityGap,
     Linearization,
@@ -172,13 +173,13 @@ _GAP_KINDS = {
 }
 
 
-def _gap_sweep(kind, phi, spec, q, family, betas, lin=None, floats=None, norm1=None):
+def _gap_sweep(kind, phi, spec, q, family, betas, lin=None, floats=None):
     """lhs and the rhs at each beta for one evaluator kind and one family.
 
     lhs does not depend on beta, and everything in the rhs but its final
-    formula is computed once.  A caller that already holds lin, the float leaf
-    values of M phi and of phi, and ``float(phi.integral())`` passes them as
-    ``lin``, ``floats`` and ``norm1``.
+    formula is computed once.  A caller that already holds lin and the float
+    leaf values of M phi and of phi passes them as ``lin`` and ``floats``.
+    ||phi||_1 is the root average, so a root-only family has e = 0 exactly.
     """
     for beta in betas:
         if beta <= 0:
@@ -197,7 +198,7 @@ def _gap_sweep(kind, phi, spec, q, family, betas, lin=None, floats=None, norm1=N
     e1 = sum(1 / m**el.depth * float(lin.averages[el]) ** q for el in family)
     if complement:
         region = [i for i in range(spec.n_leaves) if i not in union]
-        e = (float(phi.integral()) if norm1 is None else norm1) ** q - e1
+        e = float(lin.averages[ROOT]) ** q - e1
     else:
         region, e = union, e1
     lhs = sum(mvals[i] ** q for i in region) * w
@@ -468,10 +469,10 @@ def verify_suite(n_phi: int, spec: TreeSpec, q: float, *, n_beta: int = 50,
         fam_max = random_maximal_family(lin, spec, rng)
         fam_dis = random_disjoint_family(lin, spec, rng)
         floats = mvals, lvals = _unscale_floats(best, scale), _unscale_floats(levels[-1], scale)
-        norm1 = float(phi.integral())
+        norm1 = float(lin.averages[ROOT])
         for kind, (maximal, _) in _GAP_KINDS.items():
             fam, label = (fam_max, "maximal") if maximal else (fam_dis, "disjoint")
-            lhs, rhss = _gap_sweep(kind, phi, spec, q, fam, betas, lin, floats, norm1)
+            lhs, rhss = _gap_sweep(kind, phi, spec, q, fam, betas, lin, floats)
             batches.append((pid, kind, f"{kind}:{label}", betas, [lhs] * n_beta, rhss))
         top = float(max(lin.averages.values(), default=0.0)) or 1.0
         lams = [top * math.exp(rng.uniform(math.log(1e-3), math.log(1.2))) for _ in range(5)]

@@ -127,8 +127,10 @@ class TestEigenResidual:
 class TestEvaluatorBits:
     def test_outputs_pinned(self):
         # recorded while these evaluators read M phi through tree_averages, one
-        # Fraction per tree node on exact input; the weak-type levels include
-        # an average of phi itself, where the strict test must stay exact
+        # Fraction per tree node on exact input, and re-recorded when
+        # kolmogorov_gap took ||phi||_1 as the root average; the weak-type
+        # levels include an average of phi itself, where the strict test must
+        # stay exact
         digest = hashlib.sha256()
 
         def pin(*xs):
@@ -158,11 +160,12 @@ class TestEvaluatorBits:
                     pin(gap.beta, gap.lhs, gap.rhs)
         assert calls == 48
         assert digest.hexdigest() == (
-            "4cae933f413edfad7678e9f80db392ae35b58128d55b1b3c958726c721558ed6")
+            "0fcf4ca9e2fd28ef794bf649200af9e6ec878c1018fd9f20fc73a0d917f7aad9")
 
     def test_gap_evaluators_pinned(self):
         # recorded while each evaluator built one InequalityGap per beta and
-        # checked its family pair by pair; lin given and rebuilt, exact and float phi
+        # checked its family pair by pair, and re-recorded when ||phi||_1 became
+        # the root average; lin given and rebuilt, exact and float phi
         digest = hashlib.sha256()
         rng = random.Random(65)
         for (m, depth), q in (((2, 5), 0.5), ((3, 3), 0.3), ((4, 3), 0.7)):
@@ -182,7 +185,7 @@ class TestEvaluatorBits:
                             digest.update(f"{gap.beta.hex()} {gap.lhs.hex()} {gap.rhs.hex()}\n"
                                           .encode())
         assert digest.hexdigest() == (
-            "662b552fdd1c7dbb34374912ae646da65bbe6f5c31112bc1c0981d5e8cc48d64")
+            "7d7bea7290382ea1fb850f7e49faf4fe7d6a347d348ccf1fbaac0fca60b0df26")
 
 
 class TestFamilyValidation:
@@ -322,6 +325,19 @@ class TestGapEvaluators:
                 gap = theorem41_gap(phi, spec, 0.5, [ROOT], beta)
                 assert gap.lhs == 0.0
                 assert gap.rhs == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("m, depth", [(2, 5), (3, 3), (4, 3)])
+    def test_root_family_rhs_is_exactly_zero(self, m, depth):
+        # ||phi||_1 is the root average itself, so e = ||phi||_1^q - y_root^q
+        # cancels to 0 and no rounding leaves a negative rhs behind
+        spec = TreeSpec(m, depth)
+        rng = random.Random(m)
+        for exact in (False, True) * 10:
+            phi = random_step_function(rng, spec, exact=exact)
+            for fn in (theorem41_gap, corollary41_gap):
+                for beta in (1e-5, 1e-3, 1.0):
+                    gap = fn(phi, spec, 0.5, [ROOT], beta)
+                    assert (gap.lhs, gap.rhs) == (0.0, 0.0), (exact, fn.__name__, beta)
 
     def test_hand_case_depth_one(self):
         # leaves (4, 0): S_phi = {root, left leaf}, M = (4, 2)
@@ -502,7 +518,8 @@ class TestVerifySuite:
         assert hexed(rows) == hexed(want)
 
     def test_pinned_rows_and_min_slack(self):
-        # recorded when the suite still called the public evaluator once per beta
+        # recorded when the suite still called the public evaluator once per
+        # beta, and re-recorded when ||phi||_1 became the root average
         rows = []
         rep = verify_suite(20, TreeSpec(2, 6), 0.5, n_beta=50, seed=7, collect=rows)
         digest = hashlib.sha256()
@@ -510,19 +527,20 @@ class TestVerifySuite:
             digest.update(f"{p},{lab},{g.beta.hex()},{g.lhs.hex()},{g.rhs.hex()}\n".encode())
         assert len(rows) == 3160
         assert digest.hexdigest() == (
-            "470c099f976a1801e03731279726ef46a14e566eccbe896e36aac18afaa8c810")
+            "9bf53a5d7e69827342dc2ca5fafd729b45d45e740f55c1b4f471bf46ea5ff5b9")
         assert rep.min_slack.hex() == "0x0.0p+0"
         assert {k: v.hex() for k, v in rep.min_slack_by_kind.items()} == {
-            "theorem41": "0x1.004189374bc6ap-51",
+            "theorem41": "0x0.0p+0",
             "theorem42": "0x1.5b250979167c0p-10",
-            "corollary41": "0x1.d1a464337df70p-4",
+            "corollary41": "0x1.d1a464337df40p-4",
             "weak_type": "0x0.0p+0",
-            "kolmogorov": "0x1.35c486c6078e6p-1",
+            "kolmogorov": "0x1.35c486c6078e4p-1",
         }
 
     def test_pinned_rows_off_the_binary_tree(self):
         # recorded while the suite built one InequalityGap per row and ran the
-        # running max twice per function
+        # running max twice per function, and re-recorded when ||phi||_1
+        # became the root average
         digest = hashlib.sha256()
         for (m, depth, q), seed, grid in (((3, 4, 0.3), 5, (1e-3, 1e3)),
                                           ((4, 3, 0.7), 6, (1e-2, 50.0))):
@@ -535,7 +553,17 @@ class TestVerifySuite:
                                 {k: v.hex() for k, v in rep.min_slack_by_kind.items()})).encode())
             assert len(rows) == rep.n_checks == 8 * (3 * 30 + 5 + 3)
         assert digest.hexdigest() == (
-            "8a6e5e94b15fc67a0ec07e1f5031a9b2d5da85492d76ab435a132894e243aa86")
+            "8b7f3fe63f4c88baa573228ea0992972285149775fb712ece05a83e8fac6dca9")
+
+    def test_root_only_family_is_no_violation(self):
+        # bklab verify --q 0.5 --n 50 --N 6 --seed 3 --beta-lo 1e-5 --beta-hi 1e-3:
+        # phi36's maximal family is the root alone, and reading ||phi||_1 off
+        # its pieces rather than the root average left e = -2.2e-16 and 41
+        # rows with slack near -4.4e-11
+        rep = verify_suite(50, TreeSpec(2, 6), 0.5, n_beta=50, beta_lo=1e-5,
+                           beta_hi=1e-3, seed=3)
+        assert rep.n_violations == 0
+        assert rep.min_slack == 0.0
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"n_phi": 0}, "n_phi"),
