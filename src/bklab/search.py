@@ -9,16 +9,19 @@ so that both moments are restored exactly.  Swap and block-sort moves, which
 preserve the moments trivially, speed up the combinatorial packing part.
 A closing tail parks below-floor cells at the flat level tau to lower the
 extremality defect.  It takes only moves certified to keep max(M phi, L) bit
-for bit, so it never changes the objective.
+for bit, so it never changes the objective; only restarts inside the
+selection band run it.
 
 Restarts are independent, each seeded from (seed, restart index), so reports
-are reproducible for a fixed seed.
+are reproducible for a fixed seed.  Groups of them are scored in lockstep,
+one leaf_maximal call per round, each on its own trajectory bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from itertools import islice
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -34,6 +37,21 @@ from .kernel import BellmanParams, _bisect, _check_fh
 from .transforms import eigen_residual
 
 
+def _block_sums(v, m: int, depth: int):
+    """Per level d <= depth, (size, sums of v over its blocks of size cells),
+    the bits of np.add.reduce.  Below 8 terms it adds left to right onto
+    0.0; strided adds from the first cell plus 0.0 give the same bits."""
+    for d in range(depth + 1):
+        size = m ** (depth - d)
+        if size < 8:
+            sums = v[..., ::size] + 0.0
+            for j in range(1, size):
+                sums += v[..., j::size]
+        else:
+            sums = np.add.reduce(v.reshape(v.shape[:-1] + (m**d, size)), axis=-1)
+        yield size, sums
+
+
 def leaf_maximal(values, m: int, depth: int) -> np.ndarray:
     """Leaf values of the maximal function, vectorized over leading axes.
 
@@ -45,17 +63,14 @@ def leaf_maximal(values, m: int, depth: int) -> np.ndarray:
     n = m**depth
     if v.shape[-1] != n:
         raise DomainError(f"last axis must have length {n}, got {v.shape[-1]}")
-    out = np.full(v.shape, -np.inf)
-    for d in range(depth):
-        # np.mean's own summation and division, without its Python wrapper
-        shape = v.shape[:-1] + (m**d, m ** (depth - d))
-        avg = np.add.reduce(v.reshape(shape), axis=-1)
-        np.true_divide(avg, shape[-1], out=avg)
-        blocks = out.reshape(shape)
-        np.maximum(blocks, avg[..., None], out=blocks)
-    # a leaf is its own one-cell block: summing it and dividing by 1 only
-    # turns -0.0 into 0.0, which adding 0.0 does too
-    return np.maximum(out, v + 0.0, out=out)
+    run = None
+    for size, avg in _block_sums(v, m, depth):
+        avg /= size  # np.mean's division, without its Python wrapper
+        if run is not None:
+            kids = avg.reshape(run.shape + (m,))
+            np.maximum(run[..., None], kids, out=kids)
+        run = avg
+    return run
 
 
 def _objective(values, L: float, q: float, m: int, depth: int):
@@ -155,6 +170,7 @@ class SearchReport:
     depth: int
     best_phi: StepFunction
     objective: float
+    top_objective: float
     analytic_bound: float
     gap: float
     residual: float
@@ -165,6 +181,7 @@ class SearchReport:
     seed: int
     restarts: int
     best_restart: int
+    top_restart: int
 
     @property
     def gap_fraction(self) -> float:
@@ -179,9 +196,11 @@ class SearchReport:
 
 
 def _finish_report(vals, params, spec, iterations, seed, restarts,
-                   best_restart) -> SearchReport:
+                   best_restart, top=None) -> SearchReport:
+    # top: the best greedy (objective, restart), else the report's own
     phi = StepFunction.from_leaf_values([float(x) for x in vals], spec)
     obj = float(leaf_objective(vals, params.L, params.q, spec.m, spec.depth))
+    top_objective, top_restart = top or (obj, best_restart)
     bound = params.value
     res = eigen_residual(phi, params, spec)
     exc = excess_set(phi, params.L, spec, params.q)
@@ -191,6 +210,7 @@ def _finish_report(vals, params, spec, iterations, seed, restarts,
         depth=spec.depth,
         best_phi=phi,
         objective=obj,
+        top_objective=top_objective,
         analytic_bound=bound,
         gap=bound - obj,
         residual=res.total,
@@ -201,6 +221,7 @@ def _finish_report(vals, params, spec, iterations, seed, restarts,
         seed=seed,
         restarts=restarts,
         best_restart=best_restart,
+        top_restart=top_restart,
     )
 
 
@@ -352,13 +373,13 @@ def _three_cell_targets(vi, vj, vk, t, q):
 
 def _headroom(vals, L: float, m: int, depth: int) -> np.ndarray:
     """Per leaf, the least L |A| - sum_A vals over its strict ancestors A."""
-    out = np.full(vals.shape, np.inf)
-    for d in range(depth):
-        size = m ** (depth - d)
-        room = L * size - np.add.reduce(vals.reshape(m**d, size), axis=-1)
-        blocks = out.reshape(m**d, size)
-        np.minimum(blocks, room[:, None], out=blocks)
-    return out
+    run = np.full(1, np.inf)
+    for size, sums in islice(_block_sums(vals, m, depth), depth):
+        room = L * size - sums
+        kids = room.reshape(run.shape + (-1,))
+        np.minimum(run[..., None], kids, out=kids)
+        run = room
+    return np.repeat(run, len(vals) // run.size)
 
 
 # _floor_fixed's rounding margin, in units of L n^2
@@ -462,49 +483,46 @@ def _consolidate_tail(vals, params, spec):
     return float(obj), float((np.abs(np.maximum(mx, L) - root * vals) ** q).sum() / n), vals
 
 
-# candidate rows per leaf_maximal call in the greedy loop: at depth 8 a lone
-# row costs 4x its share of an 8-row batch; wider windows waste more rows
+# candidate rows per window: at depth 8 _objective costs a lone row 5x its
+# share of an 8-row call (60 vs 12 us, 2-vCPU x86); wider windows waste rows
 _WINDOW_ROWS = 8
+# leaf values per lockstep batch: all 16 restarts at depth 8, one from 12
+_BATCH_VALUES = 2**16
 
 
 def _run_restart(params, spec, ridx, seed, budget, start=None):
-    """One greedy chain of budget proposals; (objective, defect, values) or None.
+    """One greedy chain of budget proposals, as a generator.
 
-    start, if given, is a raw leaf array used instead of the built-in seed
-    shapes (still moment-repaired first).  defect is the float extremality
-    residual of the consolidated values, used by the restart selection.
+    It yields each batch of leaf arrays to score, the start first, and is
+    sent _objective of that batch; it returns (objective, values), or None
+    if no start is feasible.  start, if given, is a raw leaf array used
+    instead of the built-in seed shapes (still moment-repaired first).
 
     Proposals are scored speculatively, about _WINDOW_ROWS candidate rows
-    per leaf_maximal call, and visited in draw order; the first accept drops
-    the rest of its window.  Trajectories match one-at-a-time scoring bit
-    for bit: batch rows reduce as if alone, nothing a draw or a candidate
-    depends on changes before an accept, and an accept rewinds rng to the
-    window's start and replays the draws up to the accepted proposal.
+    per window, and visited in draw order; the first accept drops the rest
+    of its window.  Trajectories match one-at-a-time scoring bit for bit:
+    batch rows reduce as if alone, nothing a draw or a candidate depends on
+    changes before an accept, and an accept rewinds rng to the window's
+    start and replays the draws up to the accepted proposal.
     """
     rng = random.Random(f"{seed}:{ridx}:bklab-search")
     m, depth, n = spec.m, spec.depth, spec.n_leaves
     q, L = params.q, params.L
     f, h = params.f, params.h
 
-    vals = None
-    if start is not None:
+    shapes = [start] if start is not None else (
+        _seed_values(params, spec, ridx + attempt, rng) for attempt in range(6))
+    for raw in shapes:
         try:
-            vals = project_to_moments(np.asarray(start, dtype=float), f, h, q)
+            vals = project_to_moments(raw, f, h, q)
+            break
         except InfeasibleStartError:
-            return None
+            continue
     else:
-        for attempt in range(6):
-            try:
-                raw = _seed_values(params, spec, ridx + attempt, rng)
-                vals = project_to_moments(raw, f, h, q)
-                break
-            except InfeasibleStartError:
-                continue
-    if vals is None:
         return None
 
-    cur, cur_mx = _objective(vals, L, q, m, depth)
-    cur = float(cur)
+    objs, mxs = yield vals[None]
+    cur, cur_mx = float(objs[0]), mxs[0].copy()
     slack = None  # cells of cur_mx at or below the floor; rebuilt after an accept
     tau = params.tau
 
@@ -578,7 +596,7 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
                 cand[row:rows + 1, k] = sol[::-1]
             staged.append((drawn, row, rows))
             rows += 1
-        objs, mxs = _objective(cand[:rows], L, q, m, depth)
+        objs, mxs = yield cand[:rows]
         for upto, row, last in staged:
             row = last if objs[last] > objs[row] else row
             if objs[row] > cur:
@@ -587,10 +605,32 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
                     propose()
                 drawn = upto
                 vals[:] = cand[row]
-                cur, cur_mx, slack = float(objs[row]), mxs[row], None
+                # a copy: a view would keep the whole batch alive
+                cur, cur_mx, slack = float(objs[row]), mxs[row].copy(), None
                 break
         left -= drawn
-    return _consolidate_tail(vals, params, spec)
+    return cur, vals
+
+
+def _lockstep(chains, L: float, q: float, m: int, depth: int) -> list:
+    """Run _run_restart chains to their results, scoring the windows of all
+    live chains in one _objective call per round."""
+    out, sent = [None] * len(chains), dict.fromkeys(range(len(chains)))
+    while sent:
+        live = {}
+        for i, scores in sent.items():
+            try:
+                live[i] = chains[i].send(scores)  # None starts a chain
+            except StopIteration as stop:
+                out[i] = stop.value
+        if not live:
+            break
+        objs, mxs = _objective(np.concatenate(list(live.values())), L, q, m, depth)
+        at, sent = 0, {}
+        for i, window in live.items():
+            sent[i] = objs[at:at + len(window)], mxs[at:at + len(window)]
+            at += len(window)
+    return out
 
 
 _SELECT_REL_TOL = 5e-3
@@ -603,13 +643,16 @@ def local_search(params: BellmanParams, spec: TreeSpec, seed: int = 0,
 
     budget counts move proposals per restart.  extra_seeds, if given, is a
     list of leaf-value arrays injected as additional restarts (used by the
-    convergence study to warm-start from a coarser depth).
+    convergence study to warm-start from a coarser depth).  Restarts run in
+    lockstep groups of up to _BATCH_VALUES leaf values; top_objective and
+    top_restart report the best greedy objective.
 
     Near-extremality has two certificates: the objective's distance to the
     analytic bound and the eigen-style extremality defect.  Restarts whose
     objectives agree to within half a percent are below the searcher's
     resolution, so among those the reported winner is the one with the
-    smallest defect (ties break to the lowest restart index).
+    smallest defect (ties break to the lowest restart index).  Only those
+    restarts run the tail, which lowers the defect and keeps the objective.
     """
     if budget <= 0:
         raise DomainError(f"budget must be positive, got {budget}")
@@ -623,27 +666,28 @@ def local_search(params: BellmanParams, spec: TreeSpec, seed: int = 0,
         vals = np.full(spec.n_leaves, float(f))
         return _finish_report(vals, params, spec, 0, seed, restarts, 0)
 
-    extras = [np.asarray(e, dtype=float) for e in (extra_seeds or [])]
-    n_extra = len(extras)
-
-    kept = []
-    for ridx in range(restarts + n_extra):
-        start = extras[ridx] if ridx < n_extra else None
-        out = _run_restart(params, spec, ridx, seed, budget, start=start)
-        if out is not None:
-            kept.append((ridx, *out))
+    starts = [np.asarray(e, dtype=float) for e in (extra_seeds or [])]
+    starts += [None] * restarts
+    group = max(1, _BATCH_VALUES // ((_WINDOW_ROWS + 1) * spec.n_leaves))
+    chains = [_run_restart(params, spec, ridx, seed, budget, start)
+              for ridx, start in enumerate(starts)]
+    done = [out for lo in range(0, len(chains), group)
+            for out in _lockstep(chains[lo:lo + group], params.L, q, spec.m, spec.depth)]
+    kept = [(ridx, out) for ridx, out in enumerate(done) if out is not None]
     if not kept:
         raise InfeasibleStartError(
             f"no restart found a feasible start at depth {spec.depth}"
         )
-    top = max(obj for _, obj, _, _ in kept)
+    top_ridx, (top, _) = max(kept, key=lambda row: row[1][0])
     floor = top * (1.0 - _SELECT_REL_TOL)
-    best_ridx, _, _, best_vals = min(
-        (row for row in kept if row[1] >= floor),
-        key=lambda row: (row[2], row[0]),
+    # the tail returns its input's objective, so only the band needs it
+    best_ridx, (_, _, best_vals) = min(
+        ((ridx, _consolidate_tail(vals, params, spec))
+         for ridx, (obj, vals) in kept if obj >= floor),
+        key=lambda row: (row[1][1], row[0]),
     )
     return _finish_report(best_vals, params, spec, budget * len(kept), seed,
-                          restarts + n_extra, best_ridx)
+                          len(starts), best_ridx, top=(top, top_ridx))
 
 
 # -- exhaustive oracle at toy sizes -------------------------------------

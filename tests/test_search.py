@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bklab import search
+from bklab.cli import main, render_json
 from bklab.dyadic import StepFunction, TreeSpec, maximal_function
 from bklab.errors import (
     ComplexityGuardError,
@@ -43,6 +44,39 @@ PARAMS = BellmanParams(q=0.5, f=1.0, h=0.8, L=1.2)
 
 def leaf_array(phi, spec):
     return np.array([float(v) for v in phi.leaf_values(spec)])
+
+
+def solo_greedy(params, spec, seed, budget, restarts, extra_seeds=()):
+    """(restart, objective, values) of every feasible _run_restart chain,
+    each scored alone, one _objective call per window."""
+    m, depth, L, q = spec.m, spec.depth, params.L, params.q
+    kept = []
+    for ridx in range(restarts + len(extra_seeds)):
+        start = extra_seeds[ridx] if ridx < len(extra_seeds) else None
+        chain = search._run_restart(params, spec, ridx, seed, budget, start=start)
+        try:
+            window = next(chain)
+            while True:
+                window = chain.send(_objective(window, L, q, m, depth))
+        except StopIteration as stop:
+            if stop.value is not None:
+                kept.append((ridx, *stop.value))
+    return kept
+
+
+def solo_search(params, spec, seed, budget, restarts, extra_seeds=()):
+    """local_search's report from chains scored alone, every restart's
+    consolidation tail run, whether or not it is in the selection band."""
+    kept = solo_greedy(params, spec, seed, budget, restarts, extra_seeds)
+    top_ridx, top, _ = max(kept, key=lambda row: row[1])
+    tails = [(ridx, obj, *search._consolidate_tail(vals, params, spec))
+             for ridx, obj, vals in kept]
+    assert all(tail.hex() == obj.hex() for _, obj, tail, _, _ in tails)
+    floor = top * (1.0 - search._SELECT_REL_TOL)
+    ridx, _, _, _, vals = min((row for row in tails if row[1] >= floor),
+                              key=lambda row: (row[3], row[0]))
+    return search._finish_report(vals, params, spec, budget * len(kept), seed,
+                                 restarts + len(extra_seeds), ridx, top=(top, top_ridx))
 
 
 class TestLeafMaximal:
@@ -99,6 +133,29 @@ class TestLeafMaximal:
                     np.maximum(view, avg[..., None], out=view)
                 got = leaf_maximal(v, m, depth)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (m, depth, shape)
+
+    def test_headroom_matches_per_level_loop(self):
+        # _headroom shares leaf_maximal's block sums; here every level is
+        # summed by np.add.reduce, and the bits must agree, signed zeros
+        # included
+        rng = np.random.default_rng(9)
+        for m, depth in ((2, 1), (2, 3), (2, 8), (3, 1), (3, 4), (4, 2), (4, 4)):
+            n = m**depth
+            for trial in range(12):
+                v = rng.random(n) * 10.0 ** rng.integers(-6, 6, n)
+                v[rng.random(n) < 0.3] = 0.0
+                v[rng.random(n) < 0.1] = -0.0
+                if trial < 2:
+                    v[:] = (0.0, -0.0)[trial]
+                L = (0.5, 1.2, 1e3)[trial % 3]
+                want = np.full(n, np.inf)
+                for d in range(depth):
+                    size = m ** (depth - d)
+                    room = L * size - np.add.reduce(v.reshape(m**d, size), axis=-1)
+                    blocks = want.reshape(m**d, size)
+                    np.minimum(blocks, room[:, None], out=blocks)
+                got = _headroom(v, L, m, depth)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (m, depth)
 
     def test_constant_input(self):
         out = leaf_maximal(np.full(8, 1.75), 2, 3)
@@ -392,6 +449,60 @@ class TestLocalSearch:
                            extra_seeds=[coarse])
         assert self._trajectory(rep, spec) == self.WARM_START
 
+    @staticmethod
+    def _report_bytes(rep):
+        return render_json(rep.to_json_obj()).encode()
+
+    # (m, depth, budget, restarts): local_search scores the windows of a
+    # group of restarts in one call; each chain must follow the trajectory
+    # it takes when scored alone
+    LOCKSTEP = ((2, 8, 300, 3), (3, 5, 200, 3), (4, 4, 200, 3), (2, 12, 40, 3))
+
+    @pytest.mark.parametrize("group", [1, 2, None])
+    def test_lockstep_groups_match_chains_scored_alone(self, monkeypatch, group):
+        for m, depth, budget, restarts in self.LOCKSTEP:
+            spec = TreeSpec(m, depth)
+            values = (group or restarts) * (search._WINDOW_ROWS + 1) * spec.n_leaves
+            monkeypatch.setattr(search, "_BATCH_VALUES", values)
+            want = solo_search(PARAMS, spec, 0, budget, restarts)
+            rep = local_search(PARAMS, spec, seed=0, budget=budget, restarts=restarts)
+            assert self._trajectory(rep, spec) == self._trajectory(want, spec), (m, depth)
+            assert self._report_bytes(rep) == self._report_bytes(want), (m, depth)
+        # another seed, one warm start and one start that cannot be repaired
+        spec = TreeSpec(2, 6)
+        extras = [np.zeros(spec.n_leaves),
+                  np.repeat([4.0, 2.0, 1.0, 1.0, 0.5, 0.5, 0.25, 0.0], 8)]
+        monkeypatch.setattr(search, "_BATCH_VALUES",
+                            (group or 5) * (search._WINDOW_ROWS + 1) * spec.n_leaves)
+        want = solo_search(PARAMS, spec, 7, 300, 3, extras)
+        rep = local_search(PARAMS, spec, seed=7, budget=300, restarts=3,
+                           extra_seeds=extras)
+        assert rep.restarts == 5 and rep.iterations == 4 * 300
+        assert self._report_bytes(rep) == self._report_bytes(want)
+
+    def test_top_restart_reported_beside_the_selected_one(self, capsys):
+        # at this seed restart 1 reaches the best greedy objective, but
+        # restart 0 is inside the band with a smaller defect
+        spec = TreeSpec(2, 4)
+        rep = local_search(PARAMS, spec, seed=1, budget=400, restarts=4)
+        greedy = solo_greedy(PARAMS, spec, 1, 400, 4)
+        assert (rep.best_restart, rep.top_restart) == (0, 1)
+        assert rep.top_objective >= rep.objective
+        assert rep.top_objective == max(obj for _, obj, _ in greedy)
+        assert [obj for ridx, obj, _ in greedy if ridx == 1] == [rep.top_objective]
+        code = main(["search", "--q", "0.5", "--f", "1", "--h", "0.8", "--L", "1.2",
+                     "--N", "4", "--seed", "1", "--budget", "400", "--restarts", "4"])
+        got = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (got["top_objective"], got["top_restart"]) == (rep.top_objective, 1)
+        assert (got["objective"], got["best_restart"]) == (rep.objective, 0)
+
+    def test_oracle_and_hoelder_report_their_own_top(self):
+        for rep in (brute_force_oracle(PARAMS, TreeSpec(2, 2), grid=6),
+                    local_search(BellmanParams(q=0.5, f=1.0, h=1.0, L=1.2),
+                                 TreeSpec(2, 3), budget=10, restarts=2)):
+            assert (rep.top_objective, rep.top_restart) == (rep.objective, 0)
+
     def test_depth_ten_seeds_stay_finite(self):
         # the geometric seed shape once overflowed to inf at depth >= 10
         rep = local_search(PARAMS, TreeSpec(2, 10), seed=0, budget=1, restarts=3)
@@ -479,10 +590,10 @@ class TestFloorCertificate:
             assert moved_obj == obj
 
     def test_refuses_a_reservoir_that_left_the_slack(self):
-        # the tail picks its reservoir pairs once per sweep; after an accept
-        # cell 4 (1.5 > L) is no longer below the floor, while every new
-        # value is below L and the mass moved in (0.5) fits the least
-        # headroom (0.9, cell 4's two-cell block)
+        # the mask handed to _floor_fixed marks cell 4 as below the floor,
+        # but it is above it (1.5 > L); every new value is below L and the
+        # mass moved in (0.5) fits the least headroom (0.9, cell 4's
+        # two-cell block), so only the true mask refuses the move
         L, q = 1.2, 0.5
         vals = np.array([0.5, 0.5, 0.5, 0.5, 1.5, 0.0, 0.5, 0.5])
         cells, new = (0, 4, 6), (0.6, 1.0, 0.9)
@@ -490,8 +601,8 @@ class TestFloorCertificate:
         room = _headroom(vals, L, 2, 3)
         assert room.tolist() == pytest.approx([1.4] * 4 + [0.9] * 2 + [1.4] * 2)
         assert not _floor_fixed(vals, mx, room, [(cells, new)], L)
-        # the mask from the start of the sweep would have let it through,
-        # and the move does lower the objective
+        # a mask that wrongly marks cell 4 would let it through, and the
+        # move does lower the objective
         stale = np.where(np.arange(8) == 4, 0.9, mx)
         assert _floor_fixed(vals, stale, room, [(cells, new)], L)
         moved = vals.copy()
@@ -501,10 +612,14 @@ class TestFloorCertificate:
     def test_tail_takes_only_certified_moves(self, monkeypatch):
         # a certified move keeps max(M phi, L) bit for bit, so the tail
         # needs M phi once, returns its input's objective and totals the
-        # defect at the end from the floor it started with
+        # defect at the end from the floor it started with; local_search
+        # runs it only on restarts inside the selection band, and running
+        # it on every restart gives the same report
         cases = ((BellmanParams(q=0.3, f=1.0, h=0.8, L=1.2), TreeSpec(2, 7)),
                  (PARAMS, TreeSpec(3, 5)))
+        every_tail = [solo_search(params, spec, 0, 300, 2) for params, spec in cases]
         tail, floor_fixed = search._consolidate_tail, search._floor_fixed
+        run_restart = search._run_restart
         calls = []
 
         def counted(values, m, depth):
@@ -512,9 +627,14 @@ class TestFloorCertificate:
             return leaf_maximal(values, m, depth)
 
         monkeypatch.setattr(search, "leaf_maximal", counted)
-        for params, spec in cases:
+        skipped = 0
+        for (params, spec), want in zip(cases, every_tail):
             m, depth, n, L, q = spec.m, spec.depth, spec.n_leaves, params.L, params.q
-            tails = []
+            greedy, tails = {}, []
+
+            def recorded(params, spec, ridx, *args, **kwargs):
+                greedy[ridx] = yield from run_restart(params, spec, ridx, *args, **kwargs)
+                return greedy[ridx]
 
             def checked_fixed(vals, mx, room, moves, L):
                 # the mask and the headroom handed over are today's vals'
@@ -527,6 +647,7 @@ class TestFloorCertificate:
                 floor = np.maximum(leaf_maximal(start, m, depth), L)
                 want = float(leaf_objective(start, L, q, m, depth))
                 calls.clear()
+                tails.append(next(r for r, (_, v) in greedy.items() if v is vals))
                 obj, defect, out = tail(vals, params, spec)
                 assert calls == [(n,)]
                 assert not np.array_equal(out, start)
@@ -535,13 +656,20 @@ class TestFloorCertificate:
                 assert np.array_equal(after, floor)
                 full = (np.abs(after - params.eigenvalue_root * out) ** q).sum() / n
                 assert defect.hex() == float(full).hex()
-                tails.append(obj)
                 return obj, defect, out
 
+            monkeypatch.setattr(search, "_run_restart", recorded)
             monkeypatch.setattr(search, "_floor_fixed", checked_fixed)
             monkeypatch.setattr(search, "_consolidate_tail", checked_tail)
-            local_search(params, spec, seed=0, budget=300, restarts=2)
-            assert len(tails) == 2, spec
+            rep = local_search(params, spec, seed=0, budget=300, restarts=2)
+            top = max(obj for obj, _ in greedy.values())
+            band = [r for r, (obj, _) in sorted(greedy.items())
+                    if obj >= top * (1.0 - search._SELECT_REL_TOL)]
+            assert len(greedy) == 2 and tails == band, spec
+            assert render_json(rep.to_json_obj()) == render_json(want.to_json_obj())
+            skipped += len(greedy) - len(tails)
+        # the cases hold restarts outside the band, whose tails are skipped
+        assert skipped > 0
 
 
 class TestBruteForceOracle:
