@@ -18,6 +18,8 @@ All tree evaluators share one levels pass (``_levels``: every average from
 its m children, in index order) and one running max (``_running_max``: per
 leaf, the largest ancestor average and the shallowest depth attaining it),
 so M phi, the A-sets, the excess set and the inequality gaps agree to the bit.
+The search's vectorized ``leaf_maximal`` runs the same float arithmetic in
+NumPy, so it gives maximal_function's float leaf values bit for bit as well.
 
 Exact functions are evaluated on integers.  With D the lcm of the value
 denominators, every leaf value times the scale D m^N is an integer multiple

@@ -7,9 +7,11 @@ optimality gap.  The optimizer is greedy multi-start local search; the core
 move rewrites three cells, one freely and the other two by 1-D root-finding
 so that both moments are restored exactly.  Swap and block-sort moves, which
 preserve the moments trivially, speed up the combinatorial packing part.
-A closing tail parks below-floor cells at the flat level tau to lower the
-extremality defect.  It takes only moves certified to keep max(M phi, L) bit
-for bit, so it never changes the objective; only restarts inside the
+M phi comes from dyadic's levels recurrence, run in NumPy, so leaf_maximal
+gives the bits of dyadic.maximal_function.  A closing tail parks
+below-floor cells at the flat level tau to lower the extremality defect.
+It takes only moves that keep max(M phi, L) bit for bit, checked exactly on
+those levels, so it never changes the objective; only restarts inside the
 selection band run it.
 
 Restarts are independent, each seeded from (seed, restart index), so reports
@@ -19,9 +21,9 @@ one leaf_maximal call per round, each on its own trajectory bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
-from itertools import islice
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -37,38 +39,43 @@ from .kernel import BellmanParams, _bisect, _check_fh
 from .transforms import eigen_residual
 
 
-def _block_sums(v, m: int, depth: int):
-    """Per level d <= depth, (size, sums of v over its blocks of size cells),
-    the bits of np.add.reduce.  Below 8 terms it adds left to right onto
-    0.0; strided adds from the first cell plus 0.0 give the same bits."""
-    for d in range(depth + 1):
-        size = m ** (depth - d)
-        if size < 8:
-            sums = v[..., ::size] + 0.0
-            for j in range(1, size):
-                sums += v[..., j::size]
-        else:
-            sums = np.add.reduce(v.reshape(v.shape[:-1] + (m**d, size)), axis=-1)
-        yield size, sums
+def _levels(v, m: int, depth: int) -> list:
+    """Averages of v over every element, [depth][..., index], by dyadic._levels'
+    arithmetic: each its m children summed in index order onto 0.0, over m.
+    levels[depth] is v itself.  Elementwise IEEE adds and divides, so a row's
+    bits depend neither on its batch nor on NumPy's CPU dispatch."""
+    levels = [v]
+    for _ in range(depth):
+        below = levels[0]
+        avg = below[..., ::m] + 0.0
+        for j in range(1, m):
+            avg += below[..., j::m]
+        avg /= m
+        levels.insert(0, avg)
+    return levels
 
 
 def leaf_maximal(values, m: int, depth: int) -> np.ndarray:
     """Leaf values of the maximal function, vectorized over leading axes.
 
     values has shape (..., m**depth); entry i of the result is the largest
-    average of the input over the ancestors of leaf i.  Each row of a batch
-    is reduced exactly as it would be alone, so batching never changes a bit.
+    average of the input over the ancestors of leaf i, the float leaf values
+    of dyadic.maximal_function bit for bit.  Each row of a batch is reduced
+    exactly as it would be alone, so batching never changes a bit.
     """
     v = np.asarray(values, dtype=float)
     n = m**depth
     if v.shape[-1] != n:
         raise DomainError(f"last axis must have length {n}, got {v.shape[-1]}")
-    run = None
-    for size, avg in _block_sums(v, m, depth):
-        avg /= size  # np.mean's division, without its Python wrapper
-        if run is not None:
-            kids = avg.reshape(run.shape + (m,))
-            np.maximum(run[..., None], kids, out=kids)
+    if not depth:
+        return v.copy()
+    # a -0.0 leaf keeps its parent's +0.0, as under dyadic's strict >:
+    # averages are never -0.0, so leaves made +0.0 tie with them
+    levels = _levels(v + 0.0, m, depth)
+    run = levels[0]
+    for avg in levels[1:]:
+        kids = avg.reshape(run.shape + (m,))
+        np.maximum(run[..., None], kids, out=kids)
         run = avg
     return run
 
@@ -302,9 +309,14 @@ def _seed_values(params: BellmanParams, spec: TreeSpec, ridx: int, rng) -> np.nd
         vals[:split] = hi
         vals[split:K] = lo
     elif kind == 1:
-        ratio = 1.0 / (2.0 * params.tau / params.L)
-        alpha = math.log(max(ratio, 1.1), spec.m) * rng.uniform(0.8, 1.2)
-        vals[:K] = [params.L * (K / n / ((i + 0.5) / n)) ** alpha for i in range(K)]
+        # tau underflows to 0 at tiny L and the power law overflows at
+        # large L; its cells then stay at tau
+        with contextlib.suppress(ZeroDivisionError, OverflowError):
+            ratio = 1.0 / (2.0 * params.tau / params.L)
+            alpha = math.log(max(ratio, 1.1), spec.m) * rng.uniform(0.8, 1.2)
+            prof = [params.L * (K / n / ((i + 0.5) / n)) ** alpha for i in range(K)]
+            if all(map(math.isfinite, prof)):
+                vals[:K] = prof
     elif kind == 2:
         # cap the ratio so g**K stays finite on deep trees (the cap never
         # bites at depth <= 8, where K < 256)
@@ -324,14 +336,17 @@ def _seed_values(params: BellmanParams, spec: TreeSpec, ridx: int, rng) -> np.nd
 
 def _require_feasible(params: BellmanParams, n: int) -> None:
     """Refuse h < f^q n^(q-1), the least mean of v^q (all mass in one cell),
-    and data whose c^(1/q) overflows: the seeds and the defect scale by it."""
+    and data whose c^(1/q), or c^(1/q) times the largest cell value n f,
+    overflows: the seeds and the defect scale cells by it."""
     f, h, q = params.f, params.h, params.q
     if h < f**q * n ** (q - 1.0) * (1.0 - 1e-12):
         raise DomainError(
             f"h = {h} is below f^q n^(q-1) = {f**q * n ** (q - 1.0)}: "
             f"no function on {n} cells has these moments"
         )
-    _ = params.eigenvalue_root  # raises DomainError where it overflows
+    root = params.eigenvalue_root  # raises DomainError where it overflows
+    if root * (n * f) == math.inf:
+        raise DomainError(f"c^(1/q) n f overflows a float: c^(1/q) = {root}, n f = {n * f}")
 
 
 def _three_cell_targets(vi, vj, vk, t, q):
@@ -371,53 +386,30 @@ def _three_cell_targets(vi, vj, vk, t, q):
     return a, s1 - a
 
 
-def _headroom(vals, L: float, m: int, depth: int) -> np.ndarray:
-    """Per leaf, the least L |A| - sum_A vals over its strict ancestors A."""
-    run = np.full(1, np.inf)
-    for size, sums in islice(_block_sums(vals, m, depth), depth):
-        room = L * size - sums
-        kids = room.reshape(run.shape + (-1,))
-        np.minimum(run[..., None], kids, out=kids)
-        run = room
-    return np.repeat(run, len(vals) // run.size)
-
-
-# _floor_fixed's rounding margin, in units of L n^2
-_ROUNDING = 4.0 * np.finfo(float).eps
-
-
-def _floor_fixed(vals, mx, room, moves, L: float) -> bool:
-    """Whether each move provably leaves max(M phi, L) as it is, bit for bit.
-
-    A move is a (cells, new) pair setting vals[cells] = new.  mx must have
-    the < L mask of leaf_maximal(vals), and room is _headroom(vals).  Every
-    changed cell is below the floor in mx, so every block holding one
-    averages below L; each new value is below L, and the mass moved in (its
-    positive part) fits under the least headroom of the cells' ancestors,
-    so those blocks still average below L.  Every other block is the same
-    data reduced the same way, so max(M phi, L) keeps every bit and the
-    < L mask of M phi does not change either.
-
-    The margin covers rounding: numpy sums k nonnegative values, in any
-    order, to within (k - 1) 2^-53 of their sum, and every block sum here
-    (before the move, after it, and the L |A| it is compared with) is at
-    most about L n; 4 eps L n^2 covers the three of them with room left
-    for the last rounding of the average below L.
-    """
-    margin = _ROUNDING * L * len(vals) ** 2
-    for cells, new in moves:
-        moved_in, least = 0.0, math.inf
-        for c, t in zip(cells, new):
-            if not (mx.item(c) < L and t < L):
-                return False
-            v, r = vals.item(c), room.item(c)
-            if t > v:
-                moved_in += t - v
-            if r < least:
-                least = r
-        if not moved_in < least - margin:
-            return False
-    return True
+def _moved_averages(levels, cells, new, L: float, m: int):
+    """(level, index, value) for each entry of levels (_levels of the leaf
+    array) that setting leaves cells to new rewrites, or None unless every
+    moved cell and every ancestor of one is below L before and after: each
+    ancestor recomputed from its children in _levels' order.  Passing keeps
+    max(M phi, L) and its < L mask bit for bit, since every other average
+    is unchanged and no running max at or above L comes from an entry below
+    L.  On cells below the floor the test is exact: a new value or average
+    at or above L lifts the moved cell beneath it to the floor."""
+    changes, row = [], dict(zip(cells, new))
+    for d in range(len(levels) - 1, -1, -1):
+        level = levels[d]
+        for c, t in row.items():
+            if not (level.item(c) < L and t < L):
+                return None
+            changes.append((level, c, t))
+        if d:
+            parents = {c // m: 0.0 for c in row}
+            for p in parents:
+                for c in range(p * m, (p + 1) * m):
+                    parents[p] += row[c] if c in row else level.item(c)
+                parents[p] /= m
+            row = parents
+    return changes
 
 
 def _consolidate_tail(vals, params, spec):
@@ -429,23 +421,24 @@ def _consolidate_tail(vals, params, spec):
     penalty shrinks under concentration (sum |d_i|^q drops when scattered
     errors merge into few cells), so each sweep sets below-floor cells to
     tau exactly and routes the two-moment correction into two reservoir
-    cells.  Only moves _floor_fixed certifies are taken: they keep
+    cells.  Only moves _moved_averages passes are taken: they keep
     max(M phi, L) and its < L mask bit for bit, so the objective never
-    changes and the defect changes only in the three moved cells.  Each cell
-    takes the (pair, orientation) that lowers the defect most, if any does.
-    Returns (objective, defect, vals).
+    changes and the defect changes only in the three moved cells.  The
+    tail keeps the levels of vals and writes back the few entries each
+    taken move rewrites.  Each cell takes the (pair, orientation) that
+    lowers the defect most, if any does.  Returns (objective, defect, vals).
     """
     m, depth, n = spec.m, spec.depth, spec.n_leaves
     q, L, root, tau = params.q, params.L, params.eigenvalue_root, params.tau
     obj, mx = _objective(vals, L, q, m, depth)
-    room = _headroom(vals, L, m, depth)
+    levels = _levels(vals, m, depth)
     slack = np.flatnonzero(mx < L)
 
     def term(v):
         # a below-floor cell's share of the defect, times n
         return abs(L - root * v) ** q
 
-    # certified moves keep the < L mask, so every sweep has the same slack
+    # taken moves keep the < L mask, so every sweep has the same slack
     for _ in range(2 if slack.size >= 3 else 0):
         order = slack[np.argsort(-vals[slack], kind="stable")].tolist()
         # reservoir pairs: removing mass wants two heavy cells, adding mass
@@ -468,15 +461,15 @@ def _consolidate_tail(vals, params, spec):
                         - term(tau) - term(a) - term(b))
                 if gain <= best:
                     continue
-                # both orientations change the defect alike: take the first certified
+                # both orientations change the defect alike: take the first passed
                 for a, b in (sol, sol[::-1]):
-                    if _floor_fixed(vals, mx, room, [((i, r1, r2), (tau, a, b))], L):
-                        best, move = gain, (r1, r2, a, b)
+                    moved = _moved_averages(levels, (i, r1, r2), (tau, a, b), L, m)
+                    if moved is not None:
+                        best, move = gain, moved
                         break
             if move is not None:
-                r1, r2, a, b = move
-                vals[i], vals[r1], vals[r2] = tau, a, b
-                room = _headroom(vals, L, m, depth)
+                for level, c, t in move:  # levels[depth] is vals itself
+                    level[c] = t
                 changed = True
         if not changed:
             break

@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bklab.cli import Q_MAX, Q_MIN, UsageError, emit_report, main, render_json
@@ -465,6 +465,60 @@ class TestBellmanDomain:
             feasible = h <= f**q * (1.0 + 1e-12) and f <= L
             reason = r".*(overflows|\binf\b).*" if feasible else r"need .*"
             assert re.fullmatch(f"domain error: {reason}\n", err.getvalue())
+
+
+@st.composite
+def search_runs(draw):
+    """argv of search, study or verify at the smallest depth and budget, with
+    data over the CLI's numeric range: f, h, L (verify: beta_lo, beta_hi)
+    log-uniform over 10^[-300, 300], half on the edges h = f^q and L = f."""
+    command = draw(st.sampled_from(("search", "study", "verify")))
+    q = draw(st.floats(Q_MIN, Q_MAX))
+    f, h, L = (10.0 ** draw(st.floats(-300.0, 300.0)) for _ in range(3))
+    if command == "verify":
+        return ["verify", "--N", "1", "--n", "1", "--beta-points", "2", "--q", repr(q),
+                "--beta-lo", repr(f), "--beta-hi", repr(L)]
+    h = f**q if draw(st.booleans()) else h
+    L = f if draw(st.booleans()) else L
+    head = ["search", "--N", "1"] if command == "search" else ["study", "--depths", "1,2"]
+    return head + ["--budget", "1", "--restarts", "2",
+                   "--q", repr(q), "--f", repr(f), "--h", repr(h), "--L", repr(L)]
+
+
+# a need clause, the n-cell moment bound, a named float overflow or range
+_CONSTRAINT = (r"domain error: (need .*|h = .* is below f\^q n\^\(q-1\) = .*"
+               r"|.*(overflows|\binf\b|must be finite and normal).*)\n")
+
+
+class TestSearchDomain:
+    """search, study and verify over the CLI's numeric range: finite JSON,
+    exit 2 naming the violated constraint, or exit 3; never a traceback."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(argv=search_runs())
+    # kind-1 seed shapes once raised ZeroDivisionError (tau underflowed to 0)
+    # and OverflowError (the power law overflowed)
+    @example(argv=["search", "--N", "3", "--budget", "5", "--restarts", "1",
+                   "--q", "0.01017662341346305", "--f", "2.6175569601390684e-273",
+                   "--h", "0.00032036374090336546", "--L", "1.5259589128241204e-268"])
+    @example(argv=["study", "--depths", "2,3", "--budget", "5", "--restarts", "1",
+                   "--q", "0.0010164164139024425", "--f", "4.353577890081047e+193",
+                   "--h", "0.8006905011566328", "--L", "1.7114562146842554e+194"])
+    @example(argv=["study", "--depths", "2,3", "--budget", "5", "--restarts", "1",
+                   "--q", "0.011019212283893852", "--f", "4.965058316074991e-298",
+                   "--h", "0.00024632657070254815", "--L", "2.506306194181006e-295"])
+    def test_exit_0_2_or_3_and_never_a_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        elif code == 2:
+            assert out.getvalue() == ""
+            assert re.fullmatch(_CONSTRAINT, err.getvalue()), err.getvalue()
+        else:
+            assert err.getvalue().startswith("convergence failure: ")
 
 
 class TestFileSubcommands:

@@ -24,8 +24,8 @@ from bklab.kernel import BellmanParams
 from bklab.search import (
     STUDY_CSV_HEADER,
     SearchReport,
-    _floor_fixed,
-    _headroom,
+    _levels,
+    _moved_averages,
     _objective,
     _seed_values,
     _three_cell_targets,
@@ -44,6 +44,10 @@ PARAMS = BellmanParams(q=0.5, f=1.0, h=0.8, L=1.2)
 
 def leaf_array(phi, spec):
     return np.array([float(v) for v in phi.leaf_values(spec)])
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
 def solo_greedy(params, spec, seed, budget, restarts, extra_seeds=()):
@@ -81,24 +85,37 @@ def solo_search(params, spec, seed, budget, restarts, extra_seeds=()):
 
 class TestLeafMaximal:
     def test_matches_tree_evaluator(self):
+        # the float leaf values of dyadic.maximal_function bit for bit, on
+        # signed zeros, subnormals and wide ranges, row by row and batched
         rng = random.Random(11)
-        for m, depth in ((2, 4), (3, 3), (2, 1)):
+        palette = (0.0, -0.0, 5e-324, 1e-300)
+        for m, depth in ((2, 0), (2, 1), (2, 4), (2, 8), (3, 1), (3, 3), (4, 2), (4, 3)):
             spec = TreeSpec(m, depth)
             n = spec.n_leaves
-            for _ in range(8):
-                vals = [rng.random() * 3.0 for _ in range(n)]
-                if rng.random() < 0.5:
-                    for i in range(n):
-                        if rng.random() < 0.3:
-                            vals[i] = 0.0
+            rows, wants = [], []
+            for trial in range(10):
+                if trial < 2:
+                    vals = [(0.0, -0.0)[trial]] * n
+                else:
+                    vals = [rng.choice(palette) if rng.random() < 0.3
+                            else rng.random() * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
                 phi = StepFunction.from_leaf_values(vals, spec)
-                want = [float(v) for v in maximal_function(phi, spec).leaf_values(spec)]
+                want = np.array([float(v) for v in maximal_function(phi, spec).leaf_values(spec)])
                 got = leaf_maximal(np.array(vals), m, depth)
-                assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+                assert same_bits(got, want), (m, depth, trial)
+                rows.append(vals)
+                wants.append(want)
+            batch = np.array(rows)
+            want = np.array(wants)
+            for shape in ((10, n), (2, 5, n)):
+                got = leaf_maximal(batch.reshape(shape), m, depth)
+                assert got.shape == shape
+                assert same_bits(got, want.reshape(shape))
+            assert leaf_maximal(np.empty((0, n)), m, depth).shape == (0, n)
+            assert same_bits(batch, np.array(rows)), "the input is left as it was"
 
     def test_batch_rows_match_single_calls(self):
-        # blocks of 8 or more cells take numpy's pairwise summation; the
-        # batched search relies on every row being reduced as if alone
+        # the batched search relies on every row being reduced as if alone
         rng = np.random.default_rng(3)
         for m, depth in ((2, 3), (2, 8), (3, 5), (4, 4)):
             for size in (2, 5, 6, 64):
@@ -109,53 +126,6 @@ class TestLeafMaximal:
                 for row in range(size):
                     single = leaf_maximal(batch[row], m, depth)
                     assert np.array_equal(got[row], single), (m, depth, size, row)
-
-    def test_leaf_level_matches_per_level_loop(self):
-        # leaf_maximal takes its deepest level, one leaf per block, as the
-        # leaves themselves; here every level is summed and divided, and
-        # the bits must agree, signed zeros included
-        rng = np.random.default_rng(5)
-        for m, depth in ((2, 1), (2, 6), (3, 4), (4, 3)):
-            n = m**depth
-            for shape in ((n,), (3, n), (8, n)):
-                v = rng.random(shape) * 2.0
-                v[rng.random(shape) < 0.3] = 0.0
-                v[rng.random(shape) < 0.1] = -0.0
-                v[..., :m] = 0.0
-                if len(shape) == 2:
-                    v[0] = 0.0
-                    v[1] = -0.0
-                want = np.full(shape, -np.inf)
-                for d in range(depth + 1):
-                    blocks = shape[:-1] + (m**d, m ** (depth - d))
-                    avg = np.add.reduce(v.reshape(blocks), axis=-1) / blocks[-1]
-                    view = want.reshape(blocks)
-                    np.maximum(view, avg[..., None], out=view)
-                got = leaf_maximal(v, m, depth)
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (m, depth, shape)
-
-    def test_headroom_matches_per_level_loop(self):
-        # _headroom shares leaf_maximal's block sums; here every level is
-        # summed by np.add.reduce, and the bits must agree, signed zeros
-        # included
-        rng = np.random.default_rng(9)
-        for m, depth in ((2, 1), (2, 3), (2, 8), (3, 1), (3, 4), (4, 2), (4, 4)):
-            n = m**depth
-            for trial in range(12):
-                v = rng.random(n) * 10.0 ** rng.integers(-6, 6, n)
-                v[rng.random(n) < 0.3] = 0.0
-                v[rng.random(n) < 0.1] = -0.0
-                if trial < 2:
-                    v[:] = (0.0, -0.0)[trial]
-                L = (0.5, 1.2, 1e3)[trial % 3]
-                want = np.full(n, np.inf)
-                for d in range(depth):
-                    size = m ** (depth - d)
-                    room = L * size - np.add.reduce(v.reshape(m**d, size), axis=-1)
-                    blocks = want.reshape(m**d, size)
-                    np.minimum(blocks, room[:, None], out=blocks)
-                got = _headroom(v, L, m, depth)
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (m, depth)
 
     def test_constant_input(self):
         out = leaf_maximal(np.full(8, 1.75), 2, 3)
@@ -396,7 +366,7 @@ class TestLocalSearch:
     # move a single bit of the trajectory
     PINNED = {
         0: ("0x1.72fb41c4cb2b6p+0", "0x1.bf5672618f9aep-1"),
-        1: ("0x1.74fe5defef423p+0", "0x1.325e29fe6d9a3p-1"),
+        1: ("0x1.74fe5defef422p+0", "0x1.325e29fe6d9a3p-1"),
         2: ("0x1.7322f6ce19aecp+0", "0x1.cb30c3e0791bep-1"),
     }
 
@@ -411,11 +381,11 @@ class TestLocalSearch:
     # speculatively scored proposals; the other trees cover m = 3, 4 and
     # a deeper binary tree.
     TRAJECTORIES = {
-        (2, 8, 1, 2): ("0x1.72e00487ca8b0p+0", "0x1.ceae8efdbc4d4p-1", 1, 2,
+        (2, 8, 1, 2): ("0x1.72e00487ca8b2p+0", "0x1.ceae8efdbc4d4p-1", 1, 2,
                        "acde841f9639186311658218608781982230c21b9301b9dfe8b530d49406378c"),
-        (2, 8, 7, 2): ("0x1.72e00487ca8b0p+0", "0x1.ceae8efdbc4d4p-1", 1, 14,
+        (2, 8, 7, 2): ("0x1.72e00487ca8b2p+0", "0x1.ceae8efdbc4d4p-1", 1, 14,
                        "acde841f9639186311658218608781982230c21b9301b9dfe8b530d49406378c"),
-        (2, 8, 8, 2): ("0x1.72e00487ca8b0p+0", "0x1.ceae8efdbc4d4p-1", 1, 16,
+        (2, 8, 8, 2): ("0x1.72e00487ca8b2p+0", "0x1.ceae8efdbc4d4p-1", 1, 16,
                        "acde841f9639186311658218608781982230c21b9301b9dfe8b530d49406378c"),
         (2, 8, 9, 2): ("0x1.72e134734d0f6p+0", "0x1.ce4a28d27e214p-1", 1, 18,
                        "8498bbbaaf92821afa9642b832824c6ab980dea9493c80c1fe9787d1d644a8a9"),
@@ -524,6 +494,11 @@ class TestLocalSearch:
         edge = BellmanParams(q=0.5, f=1.0, h=2.0**-0.5, L=1.2)
         rep = local_search(edge, TreeSpec(2, 1), budget=5, restarts=1)
         assert rep.objective <= rep.analytic_bound + 1e-9
+        # the defect scales cells up to n f = 1.7e194 by c^(1/q) = 2.1e289
+        big = BellmanParams(q=0.0010164164139024425, f=4.353577890081047e+193,
+                            h=0.8006905011566328, L=1.7114562146842554e+194)
+        with pytest.raises(DomainError, match=r"c\^\(1/q\) n f overflows a float"):
+            local_search(big, TreeSpec(2, 2), budget=1, restarts=1)
 
     def test_seed_shapes_are_admissible_raw_material(self):
         spec = TreeSpec(2, 5)
@@ -539,12 +514,12 @@ class TestLocalSearch:
 @st.composite
 def slack_moves(draw):
     """Leaf array, L, q and a three-cell move on cells below the floor."""
-    m = draw(st.sampled_from((2, 3)))
-    depth = draw(st.integers(2 if m == 2 else 1, 5))
+    m = draw(st.sampled_from((2, 3, 4)))
+    depth = draw(st.integers(2 if m == 2 else 1, (5, 4, 3)[m - 2]))
     n = m**depth
     L = draw(st.sampled_from((0.5, 1.2, 4.0)))
     scale = draw(st.floats(0.1, 3.0)) * L
-    value = st.one_of(st.floats(0.0, scale), st.sampled_from((0.0, L)))
+    value = st.one_of(st.floats(0.0, scale), st.sampled_from((0.0, -0.0, L)))
     vals = np.array(draw(st.lists(value, min_size=n, max_size=n)))
     mx = leaf_maximal(vals, m, depth)
     slack = np.flatnonzero(mx < L).tolist()
@@ -560,65 +535,69 @@ def slack_moves(draw):
 class TestFloorCertificate:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(slack_moves())
-    def test_certified_moves_keep_the_floor(self, case):
+    def test_passed_iff_the_floor_keeps_its_bits(self, case):
+        # on cells below the floor the check is exact both ways, and the
+        # averages it hands back turn the levels into those of the moved array
         vals, L, q, m, depth, cells, new = case
         obj, mx = _objective(vals, L, q, m, depth)
-        if not _floor_fixed(vals, mx, _headroom(vals, L, m, depth), [(cells, new)], L):
-            return
         moved = vals.copy()
         moved[list(cells)] = new
         moved_obj, moved_mx = _objective(moved, L, q, m, depth)
+        kept = (same_bits(np.maximum(moved_mx, L), np.maximum(mx, L))
+                and np.array_equal(moved_mx < L, mx < L))
+        levels = _levels(vals.copy(), m, depth)
+        changes = _moved_averages(levels, cells, new, L, m)
+        assert (changes is not None) == kept
+        if changes is None:
+            return
         assert moved_obj.hex() == obj.hex()
-        assert np.array_equal(np.maximum(moved_mx, L), np.maximum(mx, L))
-        assert np.array_equal(moved_mx < L, mx < L)
+        for level, c, t in changes:
+            level[c] = t
+        assert all(same_bits(got, want) for got, want in zip(levels, _levels(moved, m, depth)))
 
     def test_refuses_mass_that_fills_a_block(self):
-        # cell 0's two-cell block holds 0.1 + 1.5 against a headroom of
-        # 2 L - 1.6 = 0.8: raising cell 0 by 0.8 lifts the block's average
-        # to L itself, which moves cell 0 out of the < L mask
+        # raising cell 0 to 0.9 lifts its two-cell block's average,
+        # (0.9 + 1.5) / 2, to L itself, which moves cell 0 out of the < L
+        # mask; 0.85 keeps the block below L
         L, q = 1.2, 0.5
         vals = np.array([0.1, 1.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
         obj, mx = _objective(vals, L, q, 2, 3)
-        room = _headroom(vals, L, 2, 3)
-        for cell0, fixed in ((0.9, False), (0.85, True)):
+        for cell0, kept in ((0.9, False), (0.85, True)):
             cells, new = (0, 2, 4), (cell0, 0.5, 0.5)
-            assert _floor_fixed(vals, mx, room, [(cells, new)], L) is fixed
+            changes = _moved_averages(_levels(vals, 2, 3), cells, new, L, 2)
+            assert (changes is not None) is kept
             moved = vals.copy()
             moved[list(cells)] = new
             moved_obj, moved_mx = _objective(moved, L, q, 2, 3)
-            assert bool(moved_mx[0] < L) is fixed
+            assert bool(moved_mx[0] < L) is kept
             assert moved_obj == obj
 
     def test_refuses_a_reservoir_that_left_the_slack(self):
-        # the mask handed to _floor_fixed marks cell 4 as below the floor,
-        # but it is above it (1.5 > L); every new value is below L and the
-        # mass moved in (0.5) fits the least headroom (0.9, cell 4's
-        # two-cell block), so only the true mask refuses the move
+        # cell 4 is above the floor (1.5 > L); every new value and every
+        # new average is below L, so only the averages before the move
+        # refuse it, and the move does lower the objective
         L, q = 1.2, 0.5
         vals = np.array([0.5, 0.5, 0.5, 0.5, 1.5, 0.0, 0.5, 0.5])
         cells, new = (0, 4, 6), (0.6, 1.0, 0.9)
-        obj, mx = _objective(vals, L, q, 2, 3)
-        room = _headroom(vals, L, 2, 3)
-        assert room.tolist() == pytest.approx([1.4] * 4 + [0.9] * 2 + [1.4] * 2)
-        assert not _floor_fixed(vals, mx, room, [(cells, new)], L)
-        # a mask that wrongly marks cell 4 would let it through, and the
-        # move does lower the objective
-        stale = np.where(np.arange(8) == 4, 0.9, mx)
-        assert _floor_fixed(vals, stale, room, [(cells, new)], L)
+        assert _moved_averages(_levels(vals, 2, 3), cells, new, L, 2) is None
+        below = vals.copy()
+        below[4] = 1.1
+        assert _moved_averages(_levels(below, 2, 3), cells, new, L, 2) is not None
         moved = vals.copy()
         moved[list(cells)] = new
-        assert _objective(moved, L, q, 2, 3)[0] < obj
+        assert _objective(moved, L, q, 2, 3)[0] < _objective(vals, L, q, 2, 3)[0]
 
     def test_tail_takes_only_certified_moves(self, monkeypatch):
-        # a certified move keeps max(M phi, L) bit for bit, so the tail
-        # needs M phi once, returns its input's objective and totals the
-        # defect at the end from the floor it started with; local_search
-        # runs it only on restarts inside the selection band, and running
-        # it on every restart gives the same report
+        # a passed move keeps max(M phi, L) bit for bit, so the tail needs
+        # M phi once, returns its input's objective and totals the defect at
+        # the end from the floor it started with; the levels it keeps are
+        # those of its array after every move it takes.  local_search runs
+        # it only on restarts inside the selection band, and running it on
+        # every restart gives the same report
         cases = ((BellmanParams(q=0.3, f=1.0, h=0.8, L=1.2), TreeSpec(2, 7)),
                  (PARAMS, TreeSpec(3, 5)))
         every_tail = [solo_search(params, spec, 0, 300, 2) for params, spec in cases]
-        tail, floor_fixed = search._consolidate_tail, search._floor_fixed
+        tail, moved_averages = search._consolidate_tail, search._moved_averages
         run_restart = search._run_restart
         calls = []
 
@@ -626,31 +605,37 @@ class TestFloorCertificate:
             calls.append(values.shape)
             return leaf_maximal(values, m, depth)
 
+        def fresh(levels, m):
+            return all(same_bits(got, want) for got, want in
+                       zip(levels, _levels(levels[-1].copy(), m, len(levels) - 1)))
+
         monkeypatch.setattr(search, "leaf_maximal", counted)
         skipped = 0
         for (params, spec), want in zip(cases, every_tail):
             m, depth, n, L, q = spec.m, spec.depth, spec.n_leaves, params.L, params.q
-            greedy, tails = {}, []
+            greedy, tails, seen = {}, [], []
 
             def recorded(params, spec, ridx, *args, **kwargs):
                 greedy[ridx] = yield from run_restart(params, spec, ridx, *args, **kwargs)
                 return greedy[ridx]
 
-            def checked_fixed(vals, mx, room, moves, L):
-                # the mask and the headroom handed over are today's vals'
-                assert np.array_equal(mx < L, leaf_maximal(vals, m, depth) < L)
-                assert np.array_equal(room, _headroom(vals, L, m, depth))
-                return floor_fixed(vals, mx, room, moves, L)
+            def checked_moves(levels, cells, new, L, m):
+                # the levels handed over are today's vals'
+                assert fresh(levels, m)
+                seen.append(levels)
+                return moved_averages(levels, cells, new, L, m)
 
             def checked_tail(vals, params, spec):
                 start = vals.copy()
                 floor = np.maximum(leaf_maximal(start, m, depth), L)
                 want = float(leaf_objective(start, L, q, m, depth))
                 calls.clear()
+                seen.clear()
                 tails.append(next(r for r, (_, v) in greedy.items() if v is vals))
                 obj, defect, out = tail(vals, params, spec)
                 assert calls == [(n,)]
                 assert not np.array_equal(out, start)
+                assert seen[-1][-1] is out and fresh(seen[-1], m)
                 assert obj.hex() == want.hex()
                 after = np.maximum(leaf_maximal(out, m, depth), L)
                 assert np.array_equal(after, floor)
@@ -659,7 +644,7 @@ class TestFloorCertificate:
                 return obj, defect, out
 
             monkeypatch.setattr(search, "_run_restart", recorded)
-            monkeypatch.setattr(search, "_floor_fixed", checked_fixed)
+            monkeypatch.setattr(search, "_moved_averages", checked_moves)
             monkeypatch.setattr(search, "_consolidate_tail", checked_tail)
             rep = local_search(params, spec, seed=0, budget=300, restarts=2)
             top = max(obj for obj, _ in greedy.values())
