@@ -370,17 +370,30 @@ def _levels(leaves: list, m: int) -> list[list]:
     """Averages over every element, [depth][index], built from the leaf row up.
 
     Each average sums its m children in index order, then divides by m.
-    Float leaves give float averages.  Integer leaves are the exact
+    Float leaves give float averages, their sums added in index order onto
+    0.0 on every Python version.  Integer leaves are the exact
     representation: all on one common scale and each a multiple of m^N (see
     _tree_levels), so every block sum divides by m with ``//`` and no
     remainder, and every average is an integer on that same scale.
     """
-    div = operator.floordiv if isinstance(leaves[0], int) else operator.truediv
+    if isinstance(leaves[0], int):
+        total, div = sum, operator.floordiv
+    else:
+        total, div = _sum_in_order, operator.truediv
     levels = [leaves]
     while len(levels[0]) > 1:
         below = levels[0]
-        levels.insert(0, [div(sum(below[j:j + m]), m) for j in range(0, len(below), m)])
+        levels.insert(0, [div(total(below[j:j + m]), m) for j in range(0, len(below), m)])
     return levels
+
+
+def _sum_in_order(xs) -> float:
+    """xs added left to right onto 0.0, the float sum() of Python 3.10 and
+    3.11; from 3.12 on sum() compensates float sums, which changes bits."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 def _running_max(levels: list[list], m: int) -> tuple[list, list[int]]:

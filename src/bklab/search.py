@@ -17,6 +17,11 @@ selection band run it.
 Restarts are independent, each seeded from (seed, restart index), so reports
 are reproducible for a fixed seed.  Groups of them are scored in lockstep,
 one leaf_maximal call per round, each on its own trajectory bit for bit.
+Each greedy loop scores its proposals in speculative windows and draws them
+from _Draws, a buffer of its generator's words with random.Random's draws
+on top: an accept rewinds the buffer to the accepted proposal, and nothing
+is redrawn.  Python float sums go through dyadic._sum_in_order, in index
+order, not through sum(), which compensates from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -24,11 +29,12 @@ from __future__ import annotations
 import contextlib
 import math
 import random
+import struct
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .dyadic import StepFunction, TreeSpec, excess_set
+from .dyadic import StepFunction, TreeSpec, _sum_in_order, excess_set
 from .errors import (
     ComplexityGuardError,
     ConvergenceError,
@@ -40,15 +46,18 @@ from .transforms import eigen_residual
 
 
 def _levels(v, m: int, depth: int) -> list:
-    """Averages of v over every element, [depth][..., index], by dyadic._levels'
-    arithmetic: each its m children summed in index order onto 0.0, over m.
-    levels[depth] is v itself.  Elementwise IEEE adds and divides, so a row's
-    bits depend neither on its batch nor on NumPy's CPU dispatch."""
+    """Averages of nonnegative v over every element, [depth][..., index], by
+    dyadic._levels' arithmetic: each its m children summed in index order
+    onto 0.0, over m.  levels[depth] is v itself.  Only leaf sums start at
+    0.0, which turns -0.0 + -0.0 into +0.0; averages of nonnegative leaves
+    are never -0.0, so above the leaves 0.0 + x is x.  Elementwise IEEE adds
+    and divides, so a row's bits depend neither on its batch nor on NumPy's
+    CPU dispatch."""
     levels = [v]
-    for _ in range(depth):
+    for d in range(depth):
         below = levels[0]
-        avg = below[..., ::m] + 0.0
-        for j in range(1, m):
+        avg = below[..., ::m] + (below[..., 1::m] if d else 0.0)
+        for j in range(2 if d else 1, m):
             avg += below[..., j::m]
         avg /= m
         levels.insert(0, avg)
@@ -58,10 +67,11 @@ def _levels(v, m: int, depth: int) -> list:
 def leaf_maximal(values, m: int, depth: int) -> np.ndarray:
     """Leaf values of the maximal function, vectorized over leading axes.
 
-    values has shape (..., m**depth); entry i of the result is the largest
-    average of the input over the ancestors of leaf i, the float leaf values
-    of dyadic.maximal_function bit for bit.  Each row of a batch is reduced
-    exactly as it would be alone, so batching never changes a bit.
+    values, nonnegative, has shape (..., m**depth); entry i of the result
+    is the largest average of the input over the ancestors of leaf i, the
+    float leaf values of dyadic.maximal_function bit for bit.  Each row of a
+    batch is reduced exactly as it would be alone, so batching never
+    changes a bit.
     """
     v = np.asarray(values, dtype=float)
     n = m**depth
@@ -118,7 +128,7 @@ def project_to_moments(values, f: float, h: float, q: float) -> np.ndarray:
 
     def log_mean_pow(t):
         s = t.max()
-        return s + math.log(sum(map(math.exp, (t - s).tolist())) / n)
+        return s + math.log(_sum_in_order(map(math.exp, (t - s).tolist())) / n)
 
     def excess(b):
         lm = log_mean_pow(b * u)
@@ -296,7 +306,7 @@ def _seed_values(params: BellmanParams, spec: TreeSpec, ridx: int, rng) -> np.nd
             block = (hi - lo) // spec.m
             gs = [math.exp(rng.gauss(0.0, sdev / (1.0 + damp * d)))
                   for _ in range(spec.m)]
-            mean = sum(gs) / spec.m
+            mean = _sum_in_order(gs) / spec.m
             for c in range(spec.m):
                 rec(lo + c * block, lo + (c + 1) * block, f * gs[c] / mean, d + 1)
 
@@ -476,8 +486,110 @@ def _consolidate_tail(vals, params, spec):
     return float(obj), float((np.abs(np.maximum(mx, L) - root * vals) ** q).sum() / n), vals
 
 
-# candidate rows per window: at depth 8 _objective costs a lone row 5x its
-# share of an 8-row call (60 vs 12 us, 2-vCPU x86); wider windows waste rows
+# words per refill of a _Draws buffer, one getrandbits call each
+_FILL_WORDS = 512
+_FILL = struct.Struct(f"<{_FILL_WORDS}I")
+
+
+class _Draws:
+    """random.Random's random, randrange, sample and gauss, bit for bit,
+    read from a rewindable buffer of the generator's 32-bit words.
+
+    The words come from rng.getrandbits in the order rng draws them, and
+    the gauss value rng holds pending is taken over, so every call returns
+    what the same call on rng would; rng must not be drawn from afterwards.
+    mark() after a draw and rewind(mark) to draw again from there.
+    forget() drops the words already read, and with them every older mark.
+    """
+
+    __slots__ = ("_rng", "_words", "_pos", "_gauss_next")
+
+    def __init__(self, rng: random.Random):
+        self._rng = rng
+        self._words = []
+        self._pos = 0
+        self._gauss_next = rng.gauss_next
+
+    def _fill(self):
+        # getrandbits puts the first word drawn in the lowest 32 bits on
+        # either byte order, so the words are read little-endian
+        bits = self._rng.getrandbits(32 * _FILL_WORDS)
+        self._words += _FILL.unpack(bits.to_bytes(_FILL.size, "little"))
+
+    def forget(self):
+        del self._words[:self._pos]
+        self._pos = 0
+
+    def mark(self):
+        return self._pos, self._gauss_next
+
+    def rewind(self, mark):
+        self._pos, self._gauss_next = mark
+
+    def random(self) -> float:
+        words, i = self._words, self._pos
+        if len(words) < i + 2:
+            self._fill()
+        self._pos = i + 2
+        return ((words[i] >> 5) * 67108864.0 + (words[i + 1] >> 6)) * (1.0 / 9007199254740992.0)
+
+    def _below(self, n: int) -> int:
+        # _randbelow for 0 < n < 2**32: a word's top bit_length(n) bits,
+        # redrawn until below n
+        if n <= 0:
+            raise ValueError("empty range")
+        shift = 32 - n.bit_length()
+        words, i = self._words, self._pos
+        while True:
+            if i == len(words):
+                self._fill()
+            r = words[i] >> shift
+            i += 1
+            if r < n:
+                self._pos = i
+                return r
+
+    def randrange(self, start: int, stop: int | None = None) -> int:
+        return self._below(start) if stop is None else start + self._below(stop - start)
+
+    def sample(self, population, k: int) -> list:
+        n = len(population)
+        if not 0 <= k <= n:
+            raise ValueError("sample larger than population or negative")
+        # a pool below random.sample's set-size threshold, else a set
+        if n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0):
+            pool, out = list(population), []
+            for size in range(n, n - k, -1):
+                j = self._below(size)
+                out.append(pool[j])
+                pool[j] = pool[size - 1]
+            return out
+        # _below(n) inline: words are read until one gives a new j < n
+        shift, words, i = 32 - n.bit_length(), self._words, self._pos
+        seen, out = set(), []
+        while len(out) < k:
+            if i == len(words):
+                self._fill()
+            j = words[i] >> shift
+            i += 1
+            if j < n and j not in seen:
+                seen.add(j)
+                out.append(population[j])
+        self._pos = i
+        return out
+
+    def gauss(self, mu: float, sigma: float) -> float:
+        z, self._gauss_next = self._gauss_next, None
+        if z is None:
+            x2pi = self.random() * math.tau
+            g2rad = math.sqrt(-2.0 * math.log(1.0 - self.random()))
+            z = math.cos(x2pi) * g2rad
+            self._gauss_next = math.sin(x2pi) * g2rad
+        return mu + z * sigma
+
+
+# candidate rows per window: at depth 8 _objective costs a lone row 6x its
+# share of an 8-row call (92 vs 14 us, 2-vCPU x86); wider windows waste rows
 _WINDOW_ROWS = 8
 # leaf values per lockstep batch: all 16 restarts at depth 8, one from 12
 _BATCH_VALUES = 2**16
@@ -495,8 +607,10 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
     per window, and visited in draw order; the first accept drops the rest
     of its window.  Trajectories match one-at-a-time scoring bit for bit:
     batch rows reduce as if alone, nothing a draw or a candidate depends on
-    changes before an accept, and an accept rewinds rng to the window's
-    start and replays the draws up to the accepted proposal.
+    changes before an accept, and an accept rewinds the draws to the mark
+    taken after the accepted proposal, where the one-at-a-time loop would
+    have left them.  The seed shapes draw from rng itself, the greedy loop
+    from a _Draws buffer of rng's words.
     """
     rng = random.Random(f"{seed}:{ridx}:bklab-search")
     m, depth, n = spec.m, spec.depth, spec.n_leaves
@@ -518,26 +632,27 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
     cur, cur_mx = float(objs[0]), mxs[0].copy()
     slack = None  # cells of cur_mx at or below the floor; rebuilt after an accept
     tau = params.tau
+    draws = _Draws(rng)
 
     def propose():
         """Draw one move: (i, j, k, t) three-cell, (i, j) swap, a block
         slice to sort, or None for a draw that proposes nothing."""
         nonlocal slack
-        r = rng.random()
+        r = draws.random()
         if n >= 3 and r < 0.55:
             # below the floor the objective ignores the values, so such
             # cells absorb moment corrections for free
             if slack is None:
                 slack = np.flatnonzero(cur_mx <= L).tolist()
-            if len(slack) >= 2 and rng.random() < 0.6:
-                i = rng.randrange(n)
-                j, k = rng.sample(slack, 2)
+            if len(slack) >= 2 and draws.random() < 0.6:
+                i = draws.randrange(n)
+                j, k = draws.sample(slack, 2)
                 if i == j or i == k:
                     return None
             else:
-                i, j, k = rng.sample(range(n), 3)
+                i, j, k = draws.sample(range(n), 3)
             vi = vals[i]
-            style = rng.random()
+            style = draws.random()
             if style < 0.25:
                 t = 0.0
             elif style < 0.4:
@@ -545,24 +660,24 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
             elif style < 0.5:
                 t = vals[j]
             else:
-                t = vi * math.exp(rng.gauss(0.0, 0.7)) if vi > 0 else \
-                    f * math.exp(rng.gauss(0.0, 1.0))
+                t = vi * math.exp(draws.gauss(0.0, 0.7)) if vi > 0 else \
+                    f * math.exp(draws.gauss(0.0, 1.0))
             return i, j, k, t
         if r < 0.85:
-            i, j = rng.sample(range(n), 2)
+            i, j = draws.sample(range(n), 2)
             return None if vals[i] == vals[j] else (i, j)
-        d = rng.randrange(1, depth + 1)
-        idx = rng.randrange(m**d)
+        d = draws.randrange(1, depth + 1)
+        idx = draws.randrange(m**d)
         block = m ** (depth - d)
         return slice(idx * block, (idx + 1) * block)
 
     cand = np.empty((_WINDOW_ROWS + 1, n))
     left = budget
     while left:
-        state = rng.getstate()
-        # (draws up to the proposal, its row, its last row): a three-cell
-        # move stages both orientations of (a, b), the second winning only
-        # if strictly better
+        draws.forget()
+        # (draws up to the proposal, the mark after it, its row, its last
+        # row): a three-cell move stages both orientations of (a, b), the
+        # second winning only if strictly better
         staged = []
         rows = drawn = 0
         while rows < _WINDOW_ROWS and drawn < left:
@@ -587,19 +702,18 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
                 cand[row:rows + 1, i] = t
                 cand[row:rows + 1, j] = sol
                 cand[row:rows + 1, k] = sol[::-1]
-            staged.append((drawn, row, rows))
+            staged.append((drawn, draws.mark(), row, rows))
             rows += 1
         objs, mxs = yield cand[:rows]
-        for upto, row, last in staged:
+        objs = objs.tolist()
+        for upto, mark, row, last in staged:
             row = last if objs[last] > objs[row] else row
             if objs[row] > cur:
-                rng.setstate(state)
-                for _ in range(upto):
-                    propose()
+                draws.rewind(mark)
                 drawn = upto
                 vals[:] = cand[row]
                 # a copy: a view would keep the whole batch alive
-                cur, cur_mx, slack = float(objs[row]), mxs[row].copy(), None
+                cur, cur_mx, slack = objs[row], mxs[row].copy(), None
                 break
         left -= drawn
     return cur, vals

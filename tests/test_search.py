@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bklab import search
+from bklab import dyadic, search
 from bklab.cli import main, render_json
 from bklab.dyadic import StepFunction, TreeSpec, maximal_function
 from bklab.errors import (
@@ -22,8 +22,10 @@ from bklab.errors import (
 )
 from bklab.kernel import BellmanParams
 from bklab.search import (
+    _FILL_WORDS,
     STUDY_CSV_HEADER,
     SearchReport,
+    _Draws,
     _levels,
     _moved_averages,
     _objective,
@@ -48,6 +50,25 @@ def leaf_array(phi, spec):
 
 def same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def compensated_sum(iterable, /, start=0):
+    """sum() of ints or of floats as Python 3.12 and later compute it: exact
+    on ints, and from the first float on with Neumaier's compensation."""
+    items = iter(iterable)
+    total = start
+    for x in items:
+        total = total + x
+        if type(total) is float:
+            break
+    else:
+        return total
+    comp = 0.0
+    for x in items:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
 
 
 def solo_greedy(params, spec, seed, budget, restarts, extra_seeds=()):
@@ -114,6 +135,30 @@ class TestLeafMaximal:
             assert leaf_maximal(np.empty((0, n)), m, depth).shape == (0, n)
             assert same_bits(batch, np.array(rows)), "the input is left as it was"
 
+    def test_levels_match_tree_levels_at_every_level(self):
+        # search._levels is dyadic._levels in NumPy: every level, every bit,
+        # on nonnegative leaves with signed zeros and subnormals, and per row
+        # of a batch
+        rng = random.Random(12)
+        palette = (0.0, -0.0, 5e-324, 2.5e-308, 1e-300)
+        for m, depth in ((2, 0), (2, 1), (2, 6), (3, 1), (3, 4), (4, 1), (4, 3)):
+            n = m**depth
+            rows = [[(0.0, -0.0)[trial]] * n if trial < 2 else
+                    [rng.choice(palette) if rng.random() < 0.4
+                     else rng.random() * 10.0 ** rng.randint(-300, 300) for _ in range(n)]
+                    for trial in range(8)]
+            wants = [dyadic._levels(row, m) for row in rows]
+            for row, want in zip(rows, wants):
+                got = _levels(np.array(row), m, depth)
+                assert len(got) == depth + 1
+                for d in range(depth + 1):
+                    assert same_bits(got[d], want[d]), (m, depth, d)
+            batch = np.array(rows).reshape(2, 4, n)
+            got = _levels(batch, m, depth)
+            for d in range(depth + 1):
+                want = np.array([w[d] for w in wants]).reshape(2, 4, -1)
+                assert same_bits(got[d], want), (m, depth, d)
+
     def test_batch_rows_match_single_calls(self):
         # the batched search relies on every row being reduced as if alone
         rng = np.random.default_rng(3)
@@ -134,6 +179,104 @@ class TestLeafMaximal:
     def test_wrong_length(self):
         with pytest.raises(DomainError):
             leaf_maximal(np.ones(7), 2, 3)
+
+
+class TestDraws:
+    """_Draws against random.Random from the same seed, call for call."""
+
+    @staticmethod
+    def pair(seed):
+        # seeding leaves no gauss value pending, one gauss call does
+        rng, twin = random.Random(seed), random.Random(seed)
+        rng.gauss(0.0, 1.0)
+        twin.gauss(0.0, 1.0)
+        assert twin.gauss_next is not None
+        return rng, _Draws(twin)
+
+    @staticmethod
+    def call(gen, pick):
+        # one call drawn by pick, the same for a Random and a _Draws
+        kind = pick.randrange(6)
+        n = pick.choice((1, 2, 3, 7, 21, 22, 30, 256, 4096, 2**31, 2**32 - 1))
+        if kind == 0:
+            return gen.random()
+        if kind == 1:
+            return gen.randrange(n)
+        if kind == 2:
+            return gen.randrange(1, n + 1)
+        if kind == 3:
+            size = min(n, 300)
+            return gen.sample(range(size), pick.randrange(min(size, 10) + 1))
+        if kind == 4:
+            size = pick.randrange(1, 60)
+            pop = [f"x{i}" for i in range(size)]
+            return gen.sample(pop, pick.randrange(min(size, 10) + 1))
+        return gen.gauss(pick.random(), pick.random())
+
+    def both(self, rng, draws, pick):
+        # the same call on each; they must agree
+        state = pick.getstate()
+        want = self.call(rng, pick)
+        pick.setstate(state)
+        assert self.call(draws, pick) == want
+
+    def test_replicates_random(self):
+        # mixed calls from a pending gauss value on, through many refills;
+        # forget() between calls changes nothing
+        rng, draws = self.pair(5)
+        pick = random.Random(6)
+        for t in range(12000):
+            self.both(rng, draws, pick)
+            if t % 7 == 0:
+                draws.forget()
+
+    def test_sample_takes_both_branches(self):
+        # random.sample uses a pool up to 21 items (more for k > 5) and a
+        # set of picks above; both, over a range and over a list
+        rng, draws = self.pair(7)
+        for n, k in ((2, 2), (3, 3), (21, 3), (22, 3), (256, 2), (256, 3), (30, 6),
+                     (85, 6), (86, 6)):
+            for pop in (range(n), [f"x{i}" for i in range(n)]):
+                for _ in range(50):
+                    assert draws.sample(pop, k) == rng.sample(pop, k), (n, k)
+        for bad in (-1, 4):
+            with pytest.raises(ValueError):
+                draws.sample(range(3), bad)
+
+    def test_draws_straddle_refills(self):
+        # randrange(2) reads exactly one word, so each call below starts
+        # at a chosen offset from the end of a refill
+        for offset in range(-3, 3):
+            rng, draws = self.pair(8)
+            for _ in range(_FILL_WORDS + offset):
+                assert draws.randrange(2) == rng.randrange(2)
+            for d in (1, 5, 8, 13):
+                assert draws.randrange(1, d + 1) == rng.randrange(1, d + 1)
+                assert draws.random() == rng.random()
+                assert draws.gauss(0.0, 0.7) == rng.gauss(0.0, 0.7)
+
+    def test_rewind_replays_the_continuation(self):
+        # the greedy loop's accept: marks after draws, a rewind to one of
+        # them, and the draws from there are rng's own continuation
+        rng, draws = self.pair(9)
+        pick = random.Random(10)
+        for _ in range(300):
+            draws.forget()
+            marks = []
+            for _ in range(pick.randrange(1, 40)):
+                self.both(rng, draws, pick)
+                marks.append((draws.mark(), rng.getstate()))
+            mark, state = pick.choice(marks)
+            draws.rewind(mark)
+            rng.setstate(state)
+            for _ in range(pick.randrange(1, 10)):
+                self.both(rng, draws, pick)
+
+    def test_empty_range_raises(self):
+        _, draws = self.pair(11)
+        for args in ((0,), (1, 1)):
+            with pytest.raises(ValueError):
+                draws.randrange(*args)
 
 
 class TestLeafObjective:
@@ -407,6 +550,25 @@ class TestLocalSearch:
         digest = hashlib.sha256(leaf_array(rep.best_phi, spec).tobytes()).hexdigest()
         return (rep.objective.hex(), rep.residual.hex(), rep.best_restart,
                 rep.iterations, digest)
+
+    def test_pins_hold_under_compensated_sum(self, monkeypatch):
+        # from Python 3.12 on, sum() of floats is compensated; the search and
+        # the float tree levels add their floats in index order instead, so
+        # the pins hold there as well
+        assert compensated_sum([1.0, 1e-16, 1e-16]) != 1.0
+
+        def shapes():  # every seed kind at m = 2, 3, 4; the pins reach only kinds 0-2
+            return [_seed_values(PARAMS, TreeSpec(m, 4), kind, random.Random(kind))
+                    for m in (2, 3, 4) for kind in range(6)]
+
+        want = shapes()
+        for module in (search, dyadic):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+        assert all(same_bits(a, b) for a, b in zip(shapes(), want))
+        for seed in self.PINNED:
+            self.test_fixed_seed_results_are_pinned(seed)
+        self.test_trajectories_pinned_across_trees()
+        TestLeafMaximal().test_matches_tree_evaluator()
 
     def test_trajectories_pinned_across_trees(self):
         for (m, depth, budget, restarts), want in self.TRAJECTORIES.items():
