@@ -305,7 +305,7 @@ class StepFunction:
         return sum(v * length for v, length in self._overlaps(a, b))
 
     def q_integral_over(self, a, b, q: float) -> float:
-        return sum((float(v) ** q * float(length) for v, length in self._overlaps(a, b)), 0.0)
+        return _sum_in_order(float(v) ** q * float(length) for v, length in self._overlaps(a, b))
 
     def average_over(self, element: TreeElement, m: int):
         return self.integral_over(element.start(m), element.end(m)) * m**element.depth
@@ -606,11 +606,11 @@ def _excess_from_levels(levels: list[list], scale: int | None, L, spec: TreeSpec
     w = spec.leaf_measure
     fw = float(w)
     if scale is None:
-        mass = sum((leaf_vals[i] * fw for i in leaves), start=0.0)
-        q_mass = float(sum(leaf_vals[i] ** q * fw for i in leaves))
+        mass = _sum_in_order(leaf_vals[i] * fw for i in leaves)
+        q_mass = _sum_in_order(leaf_vals[i] ** q * fw for i in leaves)
     else:
         mass = Fraction(sum(leaf_vals[i] for i in leaves), scale * spec.n_leaves)
-        q_mass = float(sum((leaf_vals[i] / scale) ** q * fw for i in leaves))
+        q_mass = _sum_in_order((leaf_vals[i] / scale) ** q * fw for i in leaves)
     return ExcessSet(
         elements=tuple(chosen),
         measure=w * len(leaves),
@@ -651,7 +651,7 @@ def _weak_type_slack(mvals, leaf_vals, lam, spec: TreeSpec, scale=None) -> Inequ
     bar = lam if scale is None else math.floor(Fraction(lam) * scale)
     w = float(spec.leaf_measure)
     idx = [i for i in range(spec.n_leaves) if mvals[i] > bar]
-    rhs = sum(leaf_vals[i] for i in idx) * w / float(lam)
+    rhs = _sum_in_order(leaf_vals[i] for i in idx) * w / float(lam)
     return InequalityGap(beta=lam, lhs=w * len(idx), rhs=rhs)
 
 
@@ -669,7 +669,7 @@ def _kolmogorov_slack(mvals, norm1: float, q: float, leaves, spec: TreeSpec) -> 
     if leaves and not (0 <= leaves[0] and leaves[-1] < spec.n_leaves):
         raise DomainError("leaf indices out of range")
     w = float(spec.leaf_measure)
-    lhs = sum(mvals[i] ** q for i in leaves) * w
+    lhs = _sum_in_order(mvals[i] ** q for i in leaves) * w
     mu_e = w * len(leaves)
     rhs = mu_e ** (1.0 - q) * norm1 ** q / (1.0 - q)
     return InequalityGap(beta=mu_e, lhs=lhs, rhs=rhs)

@@ -17,11 +17,10 @@ selection band run it.
 Restarts are independent, each seeded from (seed, restart index), so reports
 are reproducible for a fixed seed.  Groups of them are scored in lockstep,
 one leaf_maximal call per round, each on its own trajectory bit for bit.
-Each greedy loop scores its proposals in speculative windows and draws them
-from _Draws, a buffer of its generator's words with random.Random's draws
-on top: an accept rewinds the buffer to the accepted proposal, and nothing
-is redrawn.  Python float sums go through dyadic._sum_in_order, in index
-order, not through sum(), which compensates from Python 3.12 on.
+Each greedy loop scores its proposals in speculative windows; proposal p
+reads row p of its restart's random words, so no trajectory depends on the
+window.  Python float sums go through dyadic._sum_in_order, in index order,
+not through sum(), which compensates from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import math
 import random
-import struct
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -486,106 +484,44 @@ def _consolidate_tail(vals, params, spec):
     return float(obj), float((np.abs(np.maximum(mx, L) - root * vals) ** q).sum() / n), vals
 
 
-# words per refill of a _Draws buffer, one getrandbits call each
-_FILL_WORDS = 512
-_FILL = struct.Struct(f"<{_FILL_WORDS}I")
+# 53-bit words per row, one row per greedy proposal, and rows per
+# getrandbits call; consecutive calls concatenate, so no row depends on
+# _REFILL.  A word times _UNIT is a float in [0, 1), as from random.random
+_ROW = 8
+_REFILL = 64
+_UNIT = 2.0**-53
 
 
-class _Draws:
-    """random.Random's random, randrange, sample and gauss, bit for bit,
-    read from a rewindable buffer of the generator's 32-bit words.
+def _rows(rng: random.Random, count: int) -> list:
+    """count rows of _ROW words below 2^53, drawn from rng: the top 53 bits
+    of each 64-bit word, read little-endian since getrandbits puts the first
+    word drawn lowest on either byte order."""
+    size = 8 * _ROW * count
+    words = np.frombuffer(rng.getrandbits(8 * size).to_bytes(size, "little"), "<u8")
+    return (words >> 11).tolist()
 
-    The words come from rng.getrandbits in the order rng draws them, and
-    the gauss value rng holds pending is taken over, so every call returns
-    what the same call on rng would; rng must not be drawn from afterwards.
-    mark() after a draw and rewind(mark) to draw again from there.
-    forget() drops the words already read, and with them every older mark.
-    """
 
-    __slots__ = ("_rng", "_words", "_pos", "_gauss_next")
+def _distinct(words, n: int) -> list:
+    """Distinct indices below n, one per 53-bit word: the t-th ranges over
+    the n - t values not yet taken, in increasing order."""
+    out = []
+    for t, w in enumerate(words):
+        x = (w * (n - t)) >> 53
+        for y in sorted(out):
+            x += x >= y
+        out.append(x)
+    return out
 
-    def __init__(self, rng: random.Random):
-        self._rng = rng
-        self._words = []
-        self._pos = 0
-        self._gauss_next = rng.gauss_next
 
-    def _fill(self):
-        # getrandbits puts the first word drawn in the lowest 32 bits on
-        # either byte order, so the words are read little-endian
-        bits = self._rng.getrandbits(32 * _FILL_WORDS)
-        self._words += _FILL.unpack(bits.to_bytes(_FILL.size, "little"))
-
-    def forget(self):
-        del self._words[:self._pos]
-        self._pos = 0
-
-    def mark(self):
-        return self._pos, self._gauss_next
-
-    def rewind(self, mark):
-        self._pos, self._gauss_next = mark
-
-    def random(self) -> float:
-        words, i = self._words, self._pos
-        if len(words) < i + 2:
-            self._fill()
-        self._pos = i + 2
-        return ((words[i] >> 5) * 67108864.0 + (words[i + 1] >> 6)) * (1.0 / 9007199254740992.0)
-
-    def _below(self, n: int) -> int:
-        # _randbelow for 0 < n < 2**32: a word's top bit_length(n) bits,
-        # redrawn until below n
-        if n <= 0:
-            raise ValueError("empty range")
-        shift = 32 - n.bit_length()
-        words, i = self._words, self._pos
-        while True:
-            if i == len(words):
-                self._fill()
-            r = words[i] >> shift
-            i += 1
-            if r < n:
-                self._pos = i
-                return r
-
-    def randrange(self, start: int, stop: int | None = None) -> int:
-        return self._below(start) if stop is None else start + self._below(stop - start)
-
-    def sample(self, population, k: int) -> list:
-        n = len(population)
-        if not 0 <= k <= n:
-            raise ValueError("sample larger than population or negative")
-        # a pool below random.sample's set-size threshold, else a set
-        if n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0):
-            pool, out = list(population), []
-            for size in range(n, n - k, -1):
-                j = self._below(size)
-                out.append(pool[j])
-                pool[j] = pool[size - 1]
-            return out
-        # _below(n) inline: words are read until one gives a new j < n
-        shift, words, i = 32 - n.bit_length(), self._words, self._pos
-        seen, out = set(), []
-        while len(out) < k:
-            if i == len(words):
-                self._fill()
-            j = words[i] >> shift
-            i += 1
-            if j < n and j not in seen:
-                seen.add(j)
-                out.append(population[j])
-        self._pos = i
-        return out
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        z, self._gauss_next = self._gauss_next, None
-        if z is None:
-            x2pi = self.random() * math.tau
-            g2rad = math.sqrt(-2.0 * math.log(1.0 - self.random()))
-            z = math.cos(x2pi) * g2rad
-            self._gauss_next = math.sin(x2pi) * g2rad
-        return mu + z * sigma
+def _cells(row, n: int, slack: list):
+    """Cells (i, j, k) of a three-cell move from words 1-4 of a row, or
+    None.  If slack, the cells below the floor, holds two, word 1 sends 60%
+    of moves there for j and k, with i anywhere (None if it hits one)."""
+    if len(slack) >= 2 and row[1] * _UNIT < 0.6:
+        i = (row[2] * n) >> 53
+        j, k = (slack[x] for x in _distinct(row[3:5], len(slack)))
+        return None if i == j or i == k else (i, j, k)
+    return tuple(_distinct(row[2:5], n))
 
 
 # candidate rows per window: at depth 8 _objective costs a lone row 6x its
@@ -603,14 +539,14 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
     if no start is feasible.  start, if given, is a raw leaf array used
     instead of the built-in seed shapes (still moment-repaired first).
 
+    The seed shapes draw from rng itself; after them proposal p decodes row
+    p of the chain's random rows (_rows) against the current values.
     Proposals are scored speculatively, about _WINDOW_ROWS candidate rows
-    per window, and visited in draw order; the first accept drops the rest
-    of its window.  Trajectories match one-at-a-time scoring bit for bit:
-    batch rows reduce as if alone, nothing a draw or a candidate depends on
-    changes before an accept, and an accept rewinds the draws to the mark
-    taken after the accepted proposal, where the one-at-a-time loop would
-    have left them.  The seed shapes draw from rng itself, the greedy loop
-    from a _Draws buffer of rng's words.
+    per window, and visited in order; the first accept drops the rest of
+    its window, and the next window starts at the row after it, rows drawn
+    past it kept.  Batch rows reduce as if alone and nothing a proposal
+    reads changes before an accept, so the trajectory is that of scoring
+    each proposal alone, whatever the window.
     """
     rng = random.Random(f"{seed}:{ridx}:bklab-search")
     m, depth, n = spec.m, spec.depth, spec.n_leaves
@@ -632,27 +568,23 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
     cur, cur_mx = float(objs[0]), mxs[0].copy()
     slack = None  # cells of cur_mx at or below the floor; rebuilt after an accept
     tau = params.tau
-    draws = _Draws(rng)
 
-    def propose():
-        """Draw one move: (i, j, k, t) three-cell, (i, j) swap, a block
-        slice to sort, or None for a draw that proposes nothing."""
+    def propose(row):
+        """The move a row of words asks for: (i, j, k, t) three-cell, (i, j)
+        swap, a block slice to sort, or None for one that proposes nothing."""
         nonlocal slack
-        r = draws.random()
+        r = row[0] * _UNIT
         if n >= 3 and r < 0.55:
             # below the floor the objective ignores the values, so such
             # cells absorb moment corrections for free
             if slack is None:
                 slack = np.flatnonzero(cur_mx <= L).tolist()
-            if len(slack) >= 2 and draws.random() < 0.6:
-                i = draws.randrange(n)
-                j, k = draws.sample(slack, 2)
-                if i == j or i == k:
-                    return None
-            else:
-                i, j, k = draws.sample(range(n), 3)
+            cells = _cells(row, n, slack)
+            if cells is None:
+                return None
+            i, j, k = cells
             vi = vals[i]
-            style = draws.random()
+            style = row[5] * _UNIT
             if style < 0.25:
                 t = 0.0
             elif style < 0.4:
@@ -660,29 +592,32 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
             elif style < 0.5:
                 t = vals[j]
             else:
-                t = vi * math.exp(draws.gauss(0.0, 0.7)) if vi > 0 else \
-                    f * math.exp(draws.gauss(0.0, 1.0))
+                # a standard normal from words 6 and 7, as random.gauss has it
+                z = (math.cos(row[6] * _UNIT * math.tau)
+                     * math.sqrt(-2.0 * math.log(1.0 - row[7] * _UNIT)))
+                t = vi * math.exp(z * 0.7) if vi > 0 else f * math.exp(z)
             return i, j, k, t
         if r < 0.85:
-            i, j = draws.sample(range(n), 2)
+            i, j = _distinct(row[2:4], n)
             return None if vals[i] == vals[j] else (i, j)
-        d = draws.randrange(1, depth + 1)
-        idx = draws.randrange(m**d)
+        d = 1 + ((row[1] * depth) >> 53)
         block = m ** (depth - d)
+        idx = (row[2] * m**d) >> 53
         return slice(idx * block, (idx + 1) * block)
 
     cand = np.empty((_WINDOW_ROWS + 1, n))
-    left = budget
-    while left:
-        draws.forget()
-        # (draws up to the proposal, the mark after it, its row, its last
-        # row): a three-cell move stages both orientations of (a, b), the
-        # second winning only if strictly better
+    words, p = [], 0  # words starts with row p, the next proposal's
+    while p < budget:
+        # (proposals read up to and including it, its row, its last row): a
+        # three-cell move stages both orientations of (a, b), the second
+        # winning only if strictly better
         staged = []
-        rows = drawn = 0
-        while rows < _WINDOW_ROWS and drawn < left:
-            drawn += 1
-            move = propose()
+        rows = read = 0
+        while rows < _WINDOW_ROWS and p + read < budget:
+            if len(words) == _ROW * read:
+                words += _rows(rng, _REFILL)
+            move = propose(words[_ROW * read:_ROW * (read + 1)])
+            read += 1
             if move is None:
                 continue
             row = rows
@@ -702,20 +637,20 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
                 cand[row:rows + 1, i] = t
                 cand[row:rows + 1, j] = sol
                 cand[row:rows + 1, k] = sol[::-1]
-            staged.append((drawn, draws.mark(), row, rows))
+            staged.append((read, row, rows))
             rows += 1
         objs, mxs = yield cand[:rows]
         objs = objs.tolist()
-        for upto, mark, row, last in staged:
+        for upto, row, last in staged:
             row = last if objs[last] > objs[row] else row
             if objs[row] > cur:
-                draws.rewind(mark)
-                drawn = upto
+                read = upto
                 vals[:] = cand[row]
                 # a copy: a view would keep the whole batch alive
                 cur, cur_mx, slack = objs[row], mxs[row].copy(), None
                 break
-        left -= drawn
+        del words[:_ROW * read]
+        p += read
     return cur, vals
 
 

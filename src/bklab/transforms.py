@@ -45,6 +45,7 @@ from .dyadic import (
     _linearize,
     _running_max,
     _scaled_threshold,
+    _sum_in_order,
     _tree_levels,
     _unscale_floats,
     _weak_type_slack,
@@ -65,7 +66,7 @@ def objective(phi: StepFunction, L: float, q: float, spec: TreeSpec) -> float:
     if L <= 0:
         raise DomainError(f"threshold L must be positive, got {L}")
     mvals, _ = _leaf_floats(*_tree_levels(phi, spec), spec.m)
-    return sum(max(v, L) ** q for v in mvals) * float(spec.leaf_measure)
+    return _sum_in_order(max(v, L) ** q for v in mvals) * float(spec.leaf_measure)
 
 
 @dataclass(frozen=True)
@@ -195,14 +196,14 @@ def _gap_sweep(kind, phi, spec, q, family, betas, lin=None, floats=None):
     union = _family_leaves(family, lin, spec, maximal=maximal)
     mvals, lvals = floats
     m, w = spec.m, float(spec.leaf_measure)
-    e1 = sum(1 / m**el.depth * float(lin.averages[el]) ** q for el in family)
+    e1 = _sum_in_order(1 / m**el.depth * float(lin.averages[el]) ** q for el in family)
     if complement:
         region = [i for i in range(spec.n_leaves) if i not in union]
         e = float(lin.averages[ROOT]) ** q - e1
     else:
         region, e = union, e1
-    lhs = sum(mvals[i] ** q for i in region) * w
-    s = sum(lvals[i] ** q for i in region) * w
+    lhs = _sum_in_order(mvals[i] ** q for i in region) * w
+    s = _sum_in_order(lvals[i] ** q for i in region) * w
     return lhs, [((beta + 1.0) * e - (beta + 1.0) ** q * s) / ((1.0 - q) * beta) for beta in betas]
 
 
@@ -319,7 +320,7 @@ def g_phi(phi: StepFunction, L, q: float, spec: TreeSpec,
             continue
         vals = [leaf_vals[i] for i in idxs]
         a = Fraction(sum(vals), scale * n)
-        b = sum((v / scale) ** q * fw for v in vals)
+        b = _sum_in_order((v / scale) ** q * fw for v in vals)
         positive = [v for v in vals if v > 0]
         pos = cell * len(positive)
         if len(set(positive)) <= 1:

@@ -1,9 +1,15 @@
 """Tests for the constrained maximizer, its oracle, and the depth study."""
 
 import hashlib
+import importlib.util
+import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bklab import dyadic, search
+from bklab import dyadic, search, transforms
 from bklab.cli import main, render_json
 from bklab.dyadic import StepFunction, TreeSpec, maximal_function
 from bklab.errors import (
@@ -22,13 +28,15 @@ from bklab.errors import (
 )
 from bklab.kernel import BellmanParams
 from bklab.search import (
-    _FILL_WORDS,
+    _ROW,
     STUDY_CSV_HEADER,
     SearchReport,
-    _Draws,
+    _cells,
+    _distinct,
     _levels,
     _moved_averages,
     _objective,
+    _rows,
     _seed_values,
     _three_cell_targets,
     brute_force_oracle,
@@ -69,6 +77,15 @@ def compensated_sum(iterable, /, start=0):
         comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
         total = t
     return total + comp if comp and math.isfinite(comp) else total
+
+
+def sibling(name):
+    """The test module name.py beside this one, loaded afresh."""
+    path = Path(__file__).with_name(f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def solo_greedy(params, spec, seed, budget, restarts, extra_seeds=()):
@@ -181,102 +198,45 @@ class TestLeafMaximal:
             leaf_maximal(np.ones(7), 2, 3)
 
 
-class TestDraws:
-    """_Draws against random.Random from the same seed, call for call."""
+class TestRows:
+    def test_rows_do_not_depend_on_the_refill(self):
+        # rows drawn in chunks are the rows drawn in one call: the top 53
+        # bits of getrandbits(64), word after word
+        whole = _rows(random.Random(3), 64)
+        rng = random.Random(3)
+        parts = []
+        for count in (1, 5, 2, 56):
+            parts += _rows(rng, count)
+        assert parts == whole
+        rng = random.Random(3)
+        assert whole == [rng.getrandbits(64) >> 11 for _ in range(64 * _ROW)]
 
-    @staticmethod
-    def pair(seed):
-        # seeding leaves no gauss value pending, one gauss call does
-        rng, twin = random.Random(seed), random.Random(seed)
-        rng.gauss(0.0, 1.0)
-        twin.gauss(0.0, 1.0)
-        assert twin.gauss_next is not None
-        return rng, _Draws(twin)
+    def test_distinct_picks_reach_each_ordered_tuple_once(self):
+        # the smallest word that decodes to x over s values, for every pick:
+        # a bijection onto the ordered tuples of distinct indices, so picks
+        # are uniform to within n / 2^53
+        for n in (2, 3, 4, 5):
+            for k in range(1, min(n, 3) + 1):
+                got = [tuple(_distinct([-(-x * 2**53 // (n - t)) for t, x in enumerate(xs)], n))
+                       for xs in itertools.product(*(range(n - t) for t in range(k)))]
+                assert sorted(got) == sorted(itertools.permutations(range(n), k)), (n, k)
 
-    @staticmethod
-    def call(gen, pick):
-        # one call drawn by pick, the same for a Random and a _Draws
-        kind = pick.randrange(6)
-        n = pick.choice((1, 2, 3, 7, 21, 22, 30, 256, 4096, 2**31, 2**32 - 1))
-        if kind == 0:
-            return gen.random()
-        if kind == 1:
-            return gen.randrange(n)
-        if kind == 2:
-            return gen.randrange(1, n + 1)
-        if kind == 3:
-            size = min(n, 300)
-            return gen.sample(range(size), pick.randrange(min(size, 10) + 1))
-        if kind == 4:
-            size = pick.randrange(1, 60)
-            pop = [f"x{i}" for i in range(size)]
-            return gen.sample(pop, pick.randrange(min(size, 10) + 1))
-        return gen.gauss(pick.random(), pick.random())
-
-    def both(self, rng, draws, pick):
-        # the same call on each; they must agree
-        state = pick.getstate()
-        want = self.call(rng, pick)
-        pick.setstate(state)
-        assert self.call(draws, pick) == want
-
-    def test_replicates_random(self):
-        # mixed calls from a pending gauss value on, through many refills;
-        # forget() between calls changes nothing
-        rng, draws = self.pair(5)
-        pick = random.Random(6)
-        for t in range(12000):
-            self.both(rng, draws, pick)
-            if t % 7 == 0:
-                draws.forget()
-
-    def test_sample_takes_both_branches(self):
-        # random.sample uses a pool up to 21 items (more for k > 5) and a
-        # set of picks above; both, over a range and over a list
-        rng, draws = self.pair(7)
-        for n, k in ((2, 2), (3, 3), (21, 3), (22, 3), (256, 2), (256, 3), (30, 6),
-                     (85, 6), (86, 6)):
-            for pop in (range(n), [f"x{i}" for i in range(n)]):
-                for _ in range(50):
-                    assert draws.sample(pop, k) == rng.sample(pop, k), (n, k)
-        for bad in (-1, 4):
-            with pytest.raises(ValueError):
-                draws.sample(range(3), bad)
-
-    def test_draws_straddle_refills(self):
-        # randrange(2) reads exactly one word, so each call below starts
-        # at a chosen offset from the end of a refill
-        for offset in range(-3, 3):
-            rng, draws = self.pair(8)
-            for _ in range(_FILL_WORDS + offset):
-                assert draws.randrange(2) == rng.randrange(2)
-            for d in (1, 5, 8, 13):
-                assert draws.randrange(1, d + 1) == rng.randrange(1, d + 1)
-                assert draws.random() == rng.random()
-                assert draws.gauss(0.0, 0.7) == rng.gauss(0.0, 0.7)
-
-    def test_rewind_replays_the_continuation(self):
-        # the greedy loop's accept: marks after draws, a rewind to one of
-        # them, and the draws from there are rng's own continuation
-        rng, draws = self.pair(9)
-        pick = random.Random(10)
-        for _ in range(300):
-            draws.forget()
-            marks = []
-            for _ in range(pick.randrange(1, 40)):
-                self.both(rng, draws, pick)
-                marks.append((draws.mark(), rng.getstate()))
-            mark, state = pick.choice(marks)
-            draws.rewind(mark)
-            rng.setstate(state)
-            for _ in range(pick.randrange(1, 10)):
-                self.both(rng, draws, pick)
-
-    def test_empty_range_raises(self):
-        _, draws = self.pair(11)
-        for args in ((0,), (1, 1)):
-            with pytest.raises(ValueError):
-                draws.randrange(*args)
+    def test_cells_are_distinct_and_in_range(self):
+        # words 1-4 at both ends of their range, at 3 and 4 cells, with
+        # slack of 0, 2 and 3 cells; only a slack move refuses, when i hits
+        # its pair
+        edges = (0, 2**53 - 1)
+        for n in (3, 4):
+            for slack in ([], [0, n - 1], [0, 1, n - 1]):
+                for words in itertools.product(edges, repeat=4):
+                    cells = _cells([0, *words, 0, 0, 0], n, slack)
+                    to_slack = len(slack) >= 2 and words[0] == 0
+                    if cells is None:
+                        assert to_slack
+                        continue
+                    assert len(set(cells)) == 3 and all(0 <= c < n for c in cells)
+                    if to_slack:
+                        assert set(cells[1:]) <= set(slack)
 
 
 class TestLeafObjective:
@@ -508,9 +468,9 @@ class TestLocalSearch:
     # budget 300, 2 restarts; batching or reordering the scoring must not
     # move a single bit of the trajectory
     PINNED = {
-        0: ("0x1.72fb41c4cb2b6p+0", "0x1.bf5672618f9aep-1"),
-        1: ("0x1.74fe5defef422p+0", "0x1.325e29fe6d9a3p-1"),
-        2: ("0x1.7322f6ce19aecp+0", "0x1.cb30c3e0791bep-1"),
+        0: ("0x1.72f67c8421d0ep+0", "0x1.bec2dbc02f84fp-1"),
+        1: ("0x1.74fff300dec64p+0", "0x1.346c994e1026dp-1"),
+        2: ("0x1.73124c2fd4c78p+0", "0x1.d57a3669dd3d9p-1"),
     }
 
     @pytest.mark.parametrize("seed", sorted(PINNED))
@@ -526,24 +486,24 @@ class TestLocalSearch:
     TRAJECTORIES = {
         (2, 8, 1, 2): ("0x1.72e00487ca8b2p+0", "0x1.ceae8efdbc4d4p-1", 1, 2,
                        "acde841f9639186311658218608781982230c21b9301b9dfe8b530d49406378c"),
-        (2, 8, 7, 2): ("0x1.72e00487ca8b2p+0", "0x1.ceae8efdbc4d4p-1", 1, 14,
-                       "acde841f9639186311658218608781982230c21b9301b9dfe8b530d49406378c"),
-        (2, 8, 8, 2): ("0x1.72e00487ca8b2p+0", "0x1.ceae8efdbc4d4p-1", 1, 16,
-                       "acde841f9639186311658218608781982230c21b9301b9dfe8b530d49406378c"),
-        (2, 8, 9, 2): ("0x1.72e134734d0f6p+0", "0x1.ce4a28d27e214p-1", 1, 18,
-                       "8498bbbaaf92821afa9642b832824c6ab980dea9493c80c1fe9787d1d644a8a9"),
-        (2, 8, 300, 2): ("0x1.72fb41c4cb2b6p+0", "0x1.bf5672618f9aep-1", 1, 600,
-                         "3614ddecd20cc190b774a4300b56506f410938f43b6d4e56036d03af5f096b81"),
-        (3, 5, 500, 3): ("0x1.658dfbd8d0118p+0", "0x1.a789df12e844ap-1", 0, 1500,
-                         "5b9ed5747ec35e083f686b593af832d434bce6f663f11a0fe99d83ea0c0e5823"),
-        (4, 4, 500, 3): ("0x1.60d0045deb1c8p+0", "0x1.a9abe288d10e8p-1", 0, 1500,
-                         "97ff7b639e35fba3cdfbf5feebfd8acb81ea806d267a369f89635365c2381264"),
-        (2, 10, 200, 2): ("0x1.745a4e14a90a4p+0", "0x1.eea2abf7ad794p-1", 1, 400,
-                          "0a53a3d012906b6365cd266c04d95c149c3dc53a75514580ab15a9338dced15e"),
+        (2, 8, 7, 2): ("0x1.72e59490d81fep+0", "0x1.cb165fc4e0aa8p-1", 1, 14,
+                       "9305c93ce3f1f81fe4cb0cda5e6e3e53efaf248456fa223bb3f1a68c971e2f65"),
+        (2, 8, 8, 2): ("0x1.72e59490d81fep+0", "0x1.cb165fc4e0aa8p-1", 1, 16,
+                       "9305c93ce3f1f81fe4cb0cda5e6e3e53efaf248456fa223bb3f1a68c971e2f65"),
+        (2, 8, 9, 2): ("0x1.72e59490d81fep+0", "0x1.cb165fc4e0aa8p-1", 1, 18,
+                       "9305c93ce3f1f81fe4cb0cda5e6e3e53efaf248456fa223bb3f1a68c971e2f65"),
+        (2, 8, 300, 2): ("0x1.72f67c8421d0ep+0", "0x1.bec2dbc02f84fp-1", 1, 600,
+                         "7fc48c766971937d38d4c672a55a53a6d78b95fba7afb386bc386142eabfc6ff"),
+        (3, 5, 500, 3): ("0x1.63c3518cb5784p+0", "0x1.bc4f668e146f4p-1", 0, 1500,
+                         "ac42791d43691dc74b0a22c7f79fef31f6aa572f21ae5d399c45104afd09c1c2"),
+        (4, 4, 500, 3): ("0x1.613428cade943p+0", "0x1.d42dbbed4c35fp-1", 0, 1500,
+                         "ac7e8ed29077a0a660511ee70c227d0f6ec8f191205d4dfb83013d81f3f77204"),
+        (2, 10, 200, 2): ("0x1.745d731bea7e7p+0", "0x1.ec575eb32a12ap-1", 1, 400,
+                          "f9241174880ec52fc6c1d16dcf4ea8396f6cabdeba4a6733b1de34cf75b21a0a"),
     }
     # one warm-started run: depth 6, seed 3, budget 400, one built-in restart
-    WARM_START = ("0x1.7295a99c379f1p+0", "0x1.70830f51280c4p-1", 1, 800,
-                  "c6581b865873e41a3de954a420c55fec95fb396a1cde770cd26a1a3ebcac0476")
+    WARM_START = ("0x1.72954717a75d4p+0", "0x1.72eaf4307e4f2p-1", 1, 800,
+                  "b6bf51d52d4e91286f2044b13b7a96c9bd8a60878f2135d1085b1bac5c11811e")
 
     @staticmethod
     def _trajectory(rep, spec):
@@ -552,9 +512,9 @@ class TestLocalSearch:
                 rep.iterations, digest)
 
     def test_pins_hold_under_compensated_sum(self, monkeypatch):
-        # from Python 3.12 on, sum() of floats is compensated; the search and
-        # the float tree levels add their floats in index order instead, so
-        # the pins hold there as well
+        # from Python 3.12 on, sum() of floats is compensated; the search,
+        # the float tree levels and the evaluators add their floats in index
+        # order instead, so the pins hold there as well
         assert compensated_sum([1.0, 1e-16, 1e-16]) != 1.0
 
         def shapes():  # every seed kind at m = 2, 3, 4; the pins reach only kinds 0-2
@@ -562,13 +522,55 @@ class TestLocalSearch:
                     for m in (2, 3, 4) for kind in range(6)]
 
         want = shapes()
-        for module in (search, dyadic):
+        for module in (search, dyadic, transforms):
             monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
         assert all(same_bits(a, b) for a, b in zip(shapes(), want))
         for seed in self.PINNED:
             self.test_fixed_seed_results_are_pinned(seed)
         self.test_trajectories_pinned_across_trees()
         TestLeafMaximal().test_matches_tree_evaluator()
+        # the evaluator pins of the other test modules
+        test_dyadic, test_transforms = sibling("test_dyadic"), sibling("test_transforms")
+        test_dyadic.TestExactCore().test_outputs_pinned()
+        bits = test_transforms.TestEvaluatorBits()
+        bits.test_outputs_pinned()
+        bits.test_gap_evaluators_pinned()
+        suite = test_transforms.TestVerifySuite()
+        suite.test_pinned_rows_and_min_slack()
+        suite.test_pinned_rows_off_the_binary_tree()
+        test_transforms.TestGPhi().test_outputs_pinned()
+
+    def test_pins_hold_without_avx512_loops(self):
+        # the search pins, run in a subprocess with NumPy's AVX-512 loops
+        # switched off; where NumPy refuses the setting there is nothing to run
+        src = str(Path(search.__file__).parents[1])
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        probe = subprocess.run([sys.executable, "-W", "error", "-c", "import numpy"],
+                               env=env, capture_output=True, text=True)
+        if probe.returncode:
+            pytest.skip("NumPy refuses NPY_DISABLE_CPU_FEATURES on this build: "
+                        + probe.stderr.strip().splitlines()[-1])
+        pins = "fixed_seed_results_are_pinned or trajectories_pinned_across_trees"
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                              __file__, "-k", pins], env=env, capture_output=True, text=True)
+        assert run.returncode == 0 and "4 passed" in run.stdout, run.stdout[-3000:]
+
+    def test_reports_do_not_depend_on_the_window(self, monkeypatch):
+        # proposal p reads row p of the random words whatever the window
+        # width or the refill size
+        cases = [(TreeSpec(m, depth), budget, restarts)
+                 for m, depth, budget, restarts in ((2, 8, 300, 2), (3, 5, 200, 3), (4, 4, 200, 3))]
+        want = [self._report_bytes(local_search(PARAMS, spec, seed=0, budget=budget,
+                                                restarts=restarts))
+                for spec, budget, restarts in cases]
+        for width, refill in ((1, 64), (3, 1), (8, 5), (16, 64)):
+            monkeypatch.setattr(search, "_WINDOW_ROWS", width)
+            monkeypatch.setattr(search, "_REFILL", refill)
+            got = [self._report_bytes(local_search(PARAMS, spec, seed=0, budget=budget,
+                                                   restarts=restarts))
+                   for spec, budget, restarts in cases]
+            assert got == want, (width, refill)
 
     def test_trajectories_pinned_across_trees(self):
         for (m, depth, budget, restarts), want in self.TRAJECTORIES.items():
@@ -614,20 +616,20 @@ class TestLocalSearch:
 
     def test_top_restart_reported_beside_the_selected_one(self, capsys):
         # at this seed restart 1 reaches the best greedy objective, but
-        # restart 0 is inside the band with a smaller defect
+        # restart 3 is inside the band with a smaller defect
         spec = TreeSpec(2, 4)
-        rep = local_search(PARAMS, spec, seed=1, budget=400, restarts=4)
-        greedy = solo_greedy(PARAMS, spec, 1, 400, 4)
-        assert (rep.best_restart, rep.top_restart) == (0, 1)
-        assert rep.top_objective >= rep.objective
+        rep = local_search(PARAMS, spec, seed=8, budget=400, restarts=4)
+        greedy = solo_greedy(PARAMS, spec, 8, 400, 4)
+        assert (rep.best_restart, rep.top_restart) == (3, 1)
+        assert rep.top_objective > rep.objective
         assert rep.top_objective == max(obj for _, obj, _ in greedy)
         assert [obj for ridx, obj, _ in greedy if ridx == 1] == [rep.top_objective]
         code = main(["search", "--q", "0.5", "--f", "1", "--h", "0.8", "--L", "1.2",
-                     "--N", "4", "--seed", "1", "--budget", "400", "--restarts", "4"])
+                     "--N", "4", "--seed", "8", "--budget", "400", "--restarts", "4"])
         got = json.loads(capsys.readouterr().out)
         assert code == 0
         assert (got["top_objective"], got["top_restart"]) == (rep.top_objective, 1)
-        assert (got["objective"], got["best_restart"]) == (rep.objective, 0)
+        assert (got["objective"], got["best_restart"]) == (rep.objective, 3)
 
     def test_oracle_and_hoelder_report_their_own_top(self):
         for rep in (brute_force_oracle(PARAMS, TreeSpec(2, 2), grid=6),
