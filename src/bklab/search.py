@@ -4,9 +4,11 @@ Maximizes integral of max(M phi, L)^q over leaf-aligned step functions with
 both moments pinned: integral phi = f and integral phi^q = h.  The analytic
 value h*c is an upper bound, so bound minus objective is a certified
 optimality gap.  The optimizer is greedy multi-start local search; the core
-move rewrites three cells, one freely and the other two by 1-D root-finding
-so that both moments are restored exactly.  Swap and block-sort moves, which
-preserve the moments trivially, speed up the combinatorial packing part.
+move rewrites three cells, one freely and the other two by a safeguarded
+Newton solve (_newton) so that both moments are restored exactly.  Each
+start's moment repair finds its exponent by the same loop.  Swap and
+block-sort moves, which preserve the moments trivially, speed up the
+combinatorial packing part.
 M phi comes from dyadic's levels recurrence, run in NumPy, so leaf_maximal
 gives the bits of dyadic.maximal_function.  A closing tail parks
 below-floor cells at the flat level tau to lower the extremality defect.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import random
 from dataclasses import asdict, dataclass, fields
 
@@ -39,7 +42,7 @@ from .errors import (
     DomainError,
     InfeasibleStartError,
 )
-from .kernel import BellmanParams, _bisect, _check_fh
+from .kernel import BellmanParams, _check_fh
 from .transforms import eigen_residual
 
 
@@ -100,13 +103,48 @@ def leaf_objective(values, L: float, q: float, m: int, depth: int):
     return _objective(values, L, q, m, depth)[0]
 
 
+def _newton(fn, lo: float, hi: float, x: float, steps: int) -> float:
+    """Root of an increasing fn on [lo, hi] by safeguarded Newton from x.
+
+    fn(x) returns (value, slope), the value negative at lo and positive at
+    hi.  Each value shrinks the bracket; a Newton step that leaves it, or a
+    slope that is not positive, gives way to the midpoint.  A Newton step
+    below 2^-36 |x| is taken and ends the search: fn's value there is off
+    by about the step squared, at a simple root or a double one.  The
+    search also ends at an exact root, once no float is left inside the
+    bracket, or after steps values, at the last x valued.
+    """
+    for _ in range(steps):
+        g, slope = fn(x)
+        if g == 0.0:
+            break
+        if g < 0.0:
+            lo = x
+        else:
+            hi = x
+        if slope > 0.0:
+            nxt = x - g / slope
+            if abs(nxt - x) <= 2.0**-36 * abs(x):
+                return nxt
+            if lo < nxt < hi:
+                x = nxt
+                continue
+        nxt = 0.5 * (lo + hi)
+        if not lo < nxt < hi:
+            break
+        x = nxt
+    return x
+
+
 def project_to_moments(values, f: float, h: float, q: float) -> np.ndarray:
     """Rescale a nonnegative array as a*v**b so both moments match (f, h).
 
-    The exponent b is found by bisection on the q-mass after the mass has
-    been eliminated through a = f / mean(v**b); all powers are taken in log
-    space so large exponents cannot overflow, through math's exp and log so
-    their bits do not depend on NumPy's CPU-dispatched loops.
+    The mass is eliminated through a = f / mean(v**b), and b solves the
+    q-mass equation by _newton on a doubling bracket: its slope in b is q
+    times the gap between the means of log v tilted by v**b and by v**(q b).
+    All powers are taken in log space so large exponents cannot overflow,
+    through math's exp and log so their bits do not depend on NumPy's
+    CPU-dispatched loops.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
@@ -121,17 +159,23 @@ def project_to_moments(values, f: float, h: float, q: float) -> np.ndarray:
     npos = int(pos.sum())
     if npos == 0:
         raise InfeasibleStartError("cannot repair the zero function")
-    u = np.array([math.log(x) for x in v[pos].tolist()])
+    ul = [math.log(x) for x in v[pos].tolist()]
+    u = np.array(ul)
     logf, logh = math.log(f), math.log(h)
 
-    def log_mean_pow(t):
-        s = t.max()
-        return s + math.log(_sum_in_order(map(math.exp, (t - s).tolist())) / n)
+    def tilted(b):
+        # log mean(v**b) over all n cells, and the mean of log v weighted by v**b
+        t = b * u
+        s = float(t.max())
+        w = list(map(math.exp, (t - s).tolist()))
+        total = _sum_in_order(w)
+        return s + math.log(total / n), _sum_in_order(map(operator.mul, w, ul)) / total
 
-    def excess(b):
-        lm = log_mean_pow(b * u)
-        lq = log_mean_pow(q * b * u)
-        return q * (logf - lm) + lq - logh
+    def deficit(b):
+        # minus the q-mass excess, increasing in b, and its slope
+        lm, em = tilted(b)
+        lq, eq = tilted(q * b)
+        return logh - lq - q * (logf - lm), q * (em - eq)
 
     # b -> 0 collapses positives to a constant: the largest q-mass this
     # family reaches is f^q * (npos/n)^(1-q)
@@ -148,28 +192,15 @@ def project_to_moments(values, f: float, h: float, q: float) -> np.ndarray:
             return out
         raise InfeasibleStartError("constant start cannot move the q-mass")
 
-    lo, glo = 0.0, top
-    hi = 1.0
-    ghi = excess(hi)
-    while ghi > 0:
-        lo, glo = hi, ghi
-        hi *= 2.0
+    lo, hi = 0.0, 1.0
+    while deficit(hi)[0] < 0:
+        lo, hi = hi, 2.0 * hi
         if hi > 512.0:
             raise InfeasibleStartError("no exponent reaches the target q-mass")
-        ghi = excess(hi)
-    # not kernel._bracket, which would stop at an exact zero of excess
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if excess(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    b = 0.5 * (lo + hi)
-    la = logf - log_mean_pow(b * u)
+    b = _newton(deficit, lo, hi, hi, 200)
+    la = logf - tilted(b)[0]
     out = np.zeros(n)
-    out[pos] = [math.exp(x) for x in (la + b * u).tolist()]
+    out[pos] = [math.exp(la + b * x) for x in ul]
     out *= f / out.mean()
     if abs(out.mean() - f) > 1e-10 * max(1.0, f):
         raise InfeasibleStartError("mass repair did not converge")
@@ -357,15 +388,49 @@ def _require_feasible(params: BellmanParams, n: int) -> None:
         raise DomainError(f"c^(1/q) n f overflows a float: c^(1/q) = {root}, n f = {n * f}")
 
 
-def _three_cell_targets(vi, vj, vk, t, q):
-    """New (a, b) for cells j, k after cell i moves to t, or None.
+def _pair_targets(s1: float, s2: float, q: float):
+    """(a, b) with a + b = s1, a^q + b^q = s2 and a <= b, or None.
 
-    Solves a + b = s1, a^q + b^q = s2 with a <= b; solvable exactly when
-    s1^q <= s2 <= 2^(1-q) s1^q since a -> a^q + (s1-a)^q increases on
-    [0, s1/2].  It bisects on y = a^q, the q-mass to match: near a = 0 a
-    small error in a is a far larger one in a^q when q is small.  Python
-    floats: the same IEEE operations as numpy scalars, without their dispatch.
+    Solvable exactly when s1^q <= s2 <= 2^(1-q) s1^q, since a -> a^q +
+    (s1-a)^q increases on [0, s1/2]; an s2 up to 1e-13 relative past either
+    end takes that end.  It solves for y = a^q, the q-mass to match: near
+    a = 0 a small error in a is a far larger one in a^q when q is small.
+    g(y) = y + (s1 - y^(1/q))^q = s2 on [0, (s1/2)^q], where g is
+    increasing and concave with slope 1 - (a/b)^(1-q), so _newton from
+    y = 0 climbs to the root from below.  It takes at most 48 steps: near
+    the top of the band the slope vanishes and Newton slows to linear.
+    None also where the pair misses s2 by more than 1e-12 relative, as
+    when a underflows.  Python floats: the same IEEE operations as numpy
+    scalars, without their dispatch.
     """
+    low = s1**q
+    high = 2.0 ** (1.0 - q) * low
+    if not (low * (1.0 - 1e-13) <= s2 <= high * (1.0 + 1e-13)):
+        return None
+    if s2 <= low:
+        return 0.0, s1
+    if s2 >= high:
+        return 0.5 * s1, 0.5 * s1
+    p = 1.0 / q
+
+    def gap(y):
+        # (a/b)^(1-q) = (a/b) (b^q/y): one power fewer
+        a = y**p
+        b = s1 - a
+        bq = b**q
+        return y + bq - s2, 1.0 - (a / b) * (bq / y)
+
+    # start from the first Newton step from y = 0, where g = low - s2 and
+    # the slope is 1; y^(1/q) may round a little past s1/2
+    a = min(_newton(gap, 0.0, 0.5 * high, s2 - low, 48) ** p, 0.5 * s1)
+    b = s1 - a
+    # at small q, y^(1/q) may underflow and a lose its share of the q-mass
+    return (a, b) if abs(a**q + b**q - s2) <= 1e-12 * s2 else None
+
+
+def _three_cell_targets(vi, vj, vk, t, q):
+    """New (a, b) for cells j, k after cell i moves to t, or None: the
+    _pair_targets that keep both the mass and the q-mass of the three."""
     vi, vj, vk, t = float(vi), float(vj), float(vk), float(t)
     s1 = vi + vj + vk - t
     if s1 < 0:
@@ -373,25 +438,7 @@ def _three_cell_targets(vi, vj, vk, t, q):
     s2 = vi**q + vj**q + vk**q - t**q
     if s1 == 0.0:
         return (0.0, 0.0) if abs(s2) < 1e-15 else None
-    low = s1**q
-    high = 2.0 ** (1.0 - q) * low
-    if not (low - 1e-13 <= s2 <= high + 1e-13):
-        return None
-    if s2 <= low:
-        return 0.0, s1
-    if s2 >= high:
-        return 0.5 * s1, 0.5 * s1
-    p = 1.0 / q
-    lo, hi = 0.0, (0.5 * s1) ** q
-    # a fixed 48 steps, not kernel._bisect's run to float exhaustion
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        if mid + (s1 - mid**p) ** q < s2:
-            lo = mid
-        else:
-            hi = mid
-    a = (0.5 * (lo + hi)) ** p
-    return a, s1 - a
+    return _pair_targets(s1, s2, q)
 
 
 def _moved_averages(levels, cells, new, L: float, m: int):
@@ -562,7 +609,16 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
         except InfeasibleStartError:
             continue
     else:
-        return None
+        # no built-in shape repairs (tau may underflow to 0, leaving one
+        # positive cell): two cells carry both moments, the rest are 0; h
+        # may sit within _require_feasible's slack below (n f)^q / n
+        pair = None
+        if start is None and n * h <= 2.0 ** (1.0 - q) * (n * f) ** q:
+            pair = _pair_targets(n * f, max(n * h, (n * f) ** q), q)
+        if pair is None:
+            return None
+        vals = np.zeros(n)
+        vals[1], vals[0] = pair
 
     objs, mxs = yield vals[None]
     cur, cur_mx = float(objs[0]), mxs[0].copy()
@@ -770,10 +826,11 @@ def brute_force_oracle(params: BellmanParams, spec: TreeSpec, grid: int = 8) -> 
     if n == 2:
         # the exact feasible set: x + y = 2f with (x^q + y^q)/2 = h; h may
         # sit within _require_feasible's slack below the curve's floor at
-        # x = 2f, so it is clamped there to keep the root bracketed
-        target = max(h, 0.5 * (2.0 * f) ** q)
-        x = _bisect(lambda x: target - 0.5 * (x**q + (2.0 * f - x) ** q), f, 2.0 * f)
-        vals = np.array([x, 2.0 * f - x])
+        # x = 2f, so it is clamped there
+        pair = _pair_targets(2.0 * f, max(2.0 * h, (2.0 * f) ** q), q)
+        if pair is None:
+            raise InfeasibleStartError("the smaller of the two cells underflows")
+        vals = np.array(pair[::-1])
         return _finish_report(vals, params, spec, 1, 0, 1, 0)
 
     levels = np.concatenate([[0.0], np.geomspace(1.0, 128.0, grid - 1)])

@@ -651,6 +651,17 @@ class TestSearchCommand:
         assert code == 0
         assert json.loads(out)["depth"] == 10
 
+    def test_underflowed_tau_starts_from_a_pair(self, capsys):
+        # tau = L / c^(1/q) underflows to 0, so no built-in seed shape repairs;
+        # these data are feasible and once exited 3
+        code, out, err = run_cli(capsys, "search", "--N", "3", "--budget", "5",
+                                 "--restarts", "12", "--q", "0.01017662341346305",
+                                 "--f", "2.6175569601390684e-273",
+                                 "--h", "0.00032036374090336546",
+                                 "--L", "1.5259589128241204e-268")
+        assert code == 0, err
+        json.loads(out, parse_constant=_reject_constant)
+
 
 class TestStudyCommand:
     def test_csv_format(self, capsys):

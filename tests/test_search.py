@@ -308,6 +308,27 @@ class TestProjectToMoments:
         with pytest.raises(InfeasibleStartError):
             project_to_moments(np.zeros(8), 1.0, 0.8, 0.5)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(q=st.floats(1e-3, 1.0 - 1e-3), n=st.sampled_from([2, 3, 8, 27, 64, 256]),
+           f=st.floats(0.1, 10.0), edge=st.sampled_from(["one cell", "hoelder"]),
+           data=st.data())
+    def test_feasibility_edges_repair_or_refuse(self, q, n, f, edge, data):
+        # h at the least q-mass f^q n^(q-1) (all mass in one cell), or just
+        # under the Hoelder shortcut f^q (1 - 1e-12)
+        h = (f**q * n ** (q - 1.0) if edge == "one cell"
+             else math.nextafter(f**q * (1.0 - 1e-12), 0.0))
+        sdev, zeros = data.draw(st.sampled_from([0.1, 1.0, 5.0])), data.draw(st.booleans())
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        v = np.array([math.exp(rng.gauss(0.0, sdev)) for _ in range(n)])
+        if zeros:
+            v[[rng.random() < 0.3 for _ in range(n)]] = 0.0
+        try:
+            out = project_to_moments(v, f, h, q)
+        except InfeasibleStartError:
+            return
+        assert abs(out.mean() - f) <= 1e-10 * max(1.0, f)
+        assert abs((out**q).mean() - h) <= 1e-10 * max(1.0, h)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             project_to_moments(np.ones((2, 2)), 1.0, 0.8, 0.5)
@@ -335,9 +356,35 @@ class TestThreeCellTargets:
             assert a >= -1e-15 and b >= -1e-15
             s1 = vi + vj + vk - t
             s2 = vi**q + vj**q + vk**q - t**q
-            assert a + b == pytest.approx(s1, abs=1e-12)
-            assert a**q + b**q == pytest.approx(s2, abs=1e-7)
+            assert a + b == pytest.approx(s1, rel=1e-13, abs=0.0)
+            assert a**q + b**q == pytest.approx(s2, rel=1e-13, abs=0.0)
         assert hits > 50
+
+    @pytest.mark.parametrize("q", [0.001, 0.1, 0.5, 0.9])
+    def test_top_of_the_band(self, q):
+        # s2 a few ulps below 2^(1-q) s1^q: the root sits where the slope of
+        # y -> y + (s1 - y^(1/q))^q vanishes and Newton slows to linear
+        for s1 in (1e-9, 0.3, 1.0, 7.5, 1e12):
+            s2 = 2.0 ** (1.0 - q) * s1**q
+            for _ in range(6):
+                s2 = math.nextafter(s2, 0.0)
+                a, b = search._pair_targets(s1, s2, q)
+                assert 0.0 <= a <= b
+                assert abs(a + b - s1) <= 1e-13 * s1
+                assert abs(a**q + b**q - s2) <= 1e-13 * s2
+
+    def test_closed_form_at_q_one_half(self):
+        # at q = 1/2, y = sqrt(a) solves y + sqrt(s1 - y^2) = s2:
+        # y = (s2 - sqrt(2 s1 - s2^2)) / 2
+        rng = random.Random(43)
+        for _ in range(300):
+            s1 = 10.0 ** rng.uniform(-6.0, 6.0)
+            s2 = math.sqrt(s1) * (1.0 + (math.sqrt(2.0) - 1.0) * rng.random())
+            a, b = search._pair_targets(s1, s2, 0.5)
+            y = (s2 - math.sqrt(2.0 * s1 - s2 * s2)) / 2.0
+            # the closed form itself cancels to a few ulps of s2 near y = 0
+            assert abs(math.sqrt(a) - y) <= 1e-14 * s2
+            assert abs(a + b - s1) <= 1e-15 * s1
 
     @pytest.mark.parametrize("scale", [1.0, 1e-10])
     @pytest.mark.parametrize("q", [0.001, 0.01, 0.1, 0.5, 0.9])
@@ -371,6 +418,34 @@ class TestThreeCellTargets:
         spec = TreeSpec(2, 10)
         rep = local_search(params, spec, seed=0, budget=200, restarts=2)
         vals = leaf_array(rep.best_phi, spec)
+        assert abs(vals.mean() - params.f) <= 1e-12 * params.f
+        assert abs((vals**params.q).mean() - params.h) <= 1e-12 * params.h
+
+    def test_band_is_relative_to_the_scale(self):
+        # a q-mass 1e-6 relative below the band at scale 1e-100 once passed
+        # an absolute 1e-13 slack and came back as (0, s1), dropping it
+        s1, q = 2e-100, 0.5
+        assert _three_cell_targets(s1, 0.0, 0.0, 0.0, q) == (0.0, s1)
+        assert search._pair_targets(s1, s1**q * (1.0 - 1e-6), q) is None
+        assert search._pair_targets(s1, 2.0 ** (1.0 - q) * s1**q * (1.0 + 1e-6), q) is None
+        params = BellmanParams(q=0.5, f=1e-100, h=0.8e-50, L=1.2e-100)
+        spec = TreeSpec(2, 4)
+        rep = local_search(params, spec, budget=300, restarts=2)
+        vals = leaf_array(rep.best_phi, spec)
+        assert abs(vals.mean() - params.f) <= 1e-12 * params.f
+        assert abs((vals**params.q).mean() - params.h) <= 1e-12 * params.h
+
+    def test_underflowing_root_is_refused(self):
+        # a^0.001 = 0.3 needs a = 0.3^1000, below the float range
+        s1, q = 2.0, 0.001
+        assert search._pair_targets(s1, s1**q + 0.3, q) is None
+        a, b = search._pair_targets(s1, s1**q + 0.6, q)
+        assert abs(a**q + b**q - (s1**q + 0.6)) <= 1e-13 * (s1**q + 0.6)
+        # such a pair once came back with a = 0, dropping its share of the
+        # q-mass: this search missed h by 10% relative
+        params = BellmanParams(q=0.001, f=1.0, h=0.5, L=1.2)
+        spec = TreeSpec(2, 6)
+        vals = leaf_array(local_search(params, spec, seed=1, budget=500, restarts=2).best_phi, spec)
         assert abs(vals.mean() - params.f) <= 1e-12 * params.f
         assert abs((vals**params.q).mean() - params.h) <= 1e-12 * params.h
 
@@ -468,9 +543,9 @@ class TestLocalSearch:
     # budget 300, 2 restarts; batching or reordering the scoring must not
     # move a single bit of the trajectory
     PINNED = {
-        0: ("0x1.72f67c8421d0ep+0", "0x1.bec2dbc02f84fp-1"),
-        1: ("0x1.74fff300dec64p+0", "0x1.346c994e1026dp-1"),
-        2: ("0x1.73124c2fd4c78p+0", "0x1.d57a3669dd3d9p-1"),
+        0: ("0x1.72f67c8421d12p+0", "0x1.bec2dbc02f82ep-1"),
+        1: ("0x1.74fff300dec64p+0", "0x1.347971a7fcf31p-1"),
+        2: ("0x1.73124c2fd4c68p+0", "0x1.dbcf78b490592p-1"),
     }
 
     @pytest.mark.parametrize("seed", sorted(PINNED))
@@ -484,26 +559,26 @@ class TestLocalSearch:
     # speculatively scored proposals; the other trees cover m = 3, 4 and
     # a deeper binary tree.
     TRAJECTORIES = {
-        (2, 8, 1, 2): ("0x1.72e00487ca8b2p+0", "0x1.ceae8efdbc4d4p-1", 1, 2,
-                       "acde841f9639186311658218608781982230c21b9301b9dfe8b530d49406378c"),
-        (2, 8, 7, 2): ("0x1.72e59490d81fep+0", "0x1.cb165fc4e0aa8p-1", 1, 14,
-                       "9305c93ce3f1f81fe4cb0cda5e6e3e53efaf248456fa223bb3f1a68c971e2f65"),
-        (2, 8, 8, 2): ("0x1.72e59490d81fep+0", "0x1.cb165fc4e0aa8p-1", 1, 16,
-                       "9305c93ce3f1f81fe4cb0cda5e6e3e53efaf248456fa223bb3f1a68c971e2f65"),
-        (2, 8, 9, 2): ("0x1.72e59490d81fep+0", "0x1.cb165fc4e0aa8p-1", 1, 18,
-                       "9305c93ce3f1f81fe4cb0cda5e6e3e53efaf248456fa223bb3f1a68c971e2f65"),
-        (2, 8, 300, 2): ("0x1.72f67c8421d0ep+0", "0x1.bec2dbc02f84fp-1", 1, 600,
-                         "7fc48c766971937d38d4c672a55a53a6d78b95fba7afb386bc386142eabfc6ff"),
-        (3, 5, 500, 3): ("0x1.63c3518cb5784p+0", "0x1.bc4f668e146f4p-1", 0, 1500,
-                         "ac42791d43691dc74b0a22c7f79fef31f6aa572f21ae5d399c45104afd09c1c2"),
-        (4, 4, 500, 3): ("0x1.613428cade943p+0", "0x1.d42dbbed4c35fp-1", 0, 1500,
-                         "ac7e8ed29077a0a660511ee70c227d0f6ec8f191205d4dfb83013d81f3f77204"),
-        (2, 10, 200, 2): ("0x1.745d731bea7e7p+0", "0x1.ec575eb32a12ap-1", 1, 400,
-                          "f9241174880ec52fc6c1d16dcf4ea8396f6cabdeba4a6733b1de34cf75b21a0a"),
+        (2, 8, 1, 2): ("0x1.72e00487ca8b4p+0", "0x1.cf6063508af7ap-1", 1, 2,
+                       "0c7e05d43b937be434c563f67915f653cb1f983d8d24db51e0b33115bb1f35e6"),
+        (2, 8, 7, 2): ("0x1.72e59490d8201p+0", "0x1.ccfd4cbf820a2p-1", 1, 14,
+                       "cab0a2b7594f8ac455db6a807199a92244b5b0424c5dfa1c68890e38cfa54c1c"),
+        (2, 8, 8, 2): ("0x1.72e59490d8201p+0", "0x1.ccfd4cbf820a2p-1", 1, 16,
+                       "cab0a2b7594f8ac455db6a807199a92244b5b0424c5dfa1c68890e38cfa54c1c"),
+        (2, 8, 9, 2): ("0x1.72e59490d8201p+0", "0x1.ccfd4cbf820a2p-1", 1, 18,
+                       "cab0a2b7594f8ac455db6a807199a92244b5b0424c5dfa1c68890e38cfa54c1c"),
+        (2, 8, 300, 2): ("0x1.72f67c8421d12p+0", "0x1.bec2dbc02f82ep-1", 1, 600,
+                         "7efa622e882072a25e495674cbf5ca2cb3d1480ebf4f3b6af8713332525f4e83"),
+        (3, 5, 500, 3): ("0x1.63c3518cb437bp+0", "0x1.bc4f668e57f45p-1", 0, 1500,
+                         "774361f61a85414e766535ac3101bb57252070294eef403bd0628336c6a5a9aa"),
+        (4, 4, 500, 3): ("0x1.603f5f9dd5484p+0", "0x1.c8f103cda3ecap-1", 0, 1500,
+                         "f0256f4ce562e99110074f3d8c72403127137a658644320b5021e758619dc95c"),
+        (2, 10, 200, 2): ("0x1.745d731bea7dap+0", "0x1.ec57818a019aep-1", 1, 400,
+                          "c87c5170b4da9ef7ec0a2541d13606df2bdbe96e44ebf3d278c40cd064b6e939"),
     }
     # one warm-started run: depth 6, seed 3, budget 400, one built-in restart
-    WARM_START = ("0x1.72954717a75d4p+0", "0x1.72eaf4307e4f2p-1", 1, 800,
-                  "b6bf51d52d4e91286f2044b13b7a96c9bd8a60878f2135d1085b1bac5c11811e")
+    WARM_START = ("0x1.72954717a75d4p+0", "0x1.7306b53a901bep-1", 1, 800,
+                  "cc280af793d4c51ed2c3887ffaa3383bb2cd6c6bc6bcb3352b0a39886da15745")
 
     @staticmethod
     def _trajectory(rep, spec):
@@ -663,6 +738,19 @@ class TestLocalSearch:
                             h=0.8006905011566328, L=1.7114562146842554e+194)
         with pytest.raises(DomainError, match=r"c\^\(1/q\) n f overflows a float"):
             local_search(big, TreeSpec(2, 2), budget=1, restarts=1)
+
+    def test_underflowed_tau_starts_from_a_pair(self):
+        # tau = L / c^(1/q) underflows to 0: kinds 0-3 keep one positive cell
+        # and the a*v^b repair of kinds 4-5 underflows, so every restart
+        # starts from two cells that carry both moments
+        p = BellmanParams(q=0.01017662341346305, f=2.6175569601390684e-273,
+                          h=0.00032036374090336546, L=1.5259589128241204e-268)
+        assert p.tau == 0.0
+        spec = TreeSpec(2, 3)
+        rep = local_search(p, spec, budget=5, restarts=12)
+        vals = leaf_array(rep.best_phi, spec)
+        assert abs(vals.mean() - p.f) <= 1e-9 * p.f
+        assert abs((vals**p.q).mean() - p.h) <= 1e-9 * p.h
 
     def test_seed_shapes_are_admissible_raw_material(self):
         spec = TreeSpec(2, 5)
