@@ -19,7 +19,9 @@ its m children, in index order) and one running max (``_running_max``: per
 leaf, the largest ancestor average and the shallowest depth attaining it),
 so M phi, the A-sets, the excess set and the inequality gaps agree to the bit.
 The search's vectorized ``leaf_maximal`` runs the same float arithmetic in
-NumPy, so it gives maximal_function's float leaf values bit for bit as well.
+NumPy, so it gives maximal_function's float leaf values bit for bit as well:
+for m = 2^k it multiplies by 2^-k, which rounds as the divide by m does, and
+on wide levels it takes the running max by strided np.maximum calls.
 
 Exact functions are evaluated on integers.  With D the lcm of the value
 denominators, every leaf value times the scale D m^N is an integer multiple

@@ -10,7 +10,8 @@ start's moment repair finds its exponent by the same loop.  Swap and
 block-sort moves, which preserve the moments trivially, speed up the
 combinatorial packing part.
 M phi comes from dyadic's levels recurrence, run in NumPy, so leaf_maximal
-gives the bits of dyadic.maximal_function.  A closing tail parks
+gives the bits of dyadic.maximal_function; its running max takes one
+strided np.maximum per child on wide levels.  A closing tail parks
 below-floor cells at the flat level tau to lower the extremality defect.
 It takes only moves that keep max(M phi, L) bit for bit, checked exactly on
 those levels, so it never changes the objective; only restarts inside the
@@ -21,8 +22,10 @@ are reproducible for a fixed seed.  Groups of them are scored in lockstep,
 one leaf_maximal call per round, each on its own trajectory bit for bit.
 Each greedy loop scores its proposals in speculative windows; proposal p
 reads row p of its restart's random words, so no trajectory depends on the
-window.  Python float sums go through dyadic._sum_in_order, in index order,
-not through sum(), which compensates from Python 3.12 on.
+window.  Proposals read the values as Python floats, and a window's rows
+are one broadcast of the values and one scatter of the moved cells.  Python
+float sums go through dyadic._sum_in_order, in index order, not through
+sum(), which compensates from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -51,18 +54,28 @@ def _levels(v, m: int, depth: int) -> list:
     dyadic._levels' arithmetic: each its m children summed in index order
     onto 0.0, over m.  levels[depth] is v itself.  Only leaf sums start at
     0.0, which turns -0.0 + -0.0 into +0.0; averages of nonnegative leaves
-    are never -0.0, so above the leaves 0.0 + x is x.  Elementwise IEEE adds
-    and divides, so a row's bits depend neither on its batch nor on NumPy's
+    are never -0.0, so above the leaves 0.0 + x is x.  For m = 2^k a
+    multiply by 2^-k stands in for the divide: x * 2^-k and x / 2^k are one
+    real number, so they round alike, subnormals included.  Elementwise IEEE
+    operations, so a row's bits depend neither on its batch nor on NumPy's
     CPU dispatch."""
     levels = [v]
+    scale, by = (np.multiply, 1.0 / m) if not m & (m - 1) else (np.divide, m)
     for d in range(depth):
         below = levels[0]
         avg = below[..., ::m] + (below[..., 1::m] if d else 0.0)
         for j in range(2 if d else 1, m):
             avg += below[..., j::m]
-        avg /= m
+        scale(avg, by, out=avg)
         levels.insert(0, avg)
     return levels
+
+
+# parents per level (batch rows x width) from which leaf_maximal's strided
+# np.maximum calls beat one broadcast: timed per level on a 2-vCPU x86 they
+# lead from about 600 at m = 2 (1150 at m = 3, 3400 at m = 4); whole m = 2
+# calls, depths 8-12 and 1-144 rows, vary by under 3% from 256 to 2048
+_STRIDED_FROM = 512
 
 
 def leaf_maximal(values, m: int, depth: int) -> np.ndarray:
@@ -72,7 +85,8 @@ def leaf_maximal(values, m: int, depth: int) -> np.ndarray:
     is the largest average of the input over the ancestors of leaf i, the
     float leaf values of dyadic.maximal_function bit for bit.  Each row of a
     batch is reduced exactly as it would be alone, so batching never
-    changes a bit.
+    changes a bit.  The running max goes down the levels, by one strided
+    np.maximum per child on wide levels and one broadcast on narrow ones.
     """
     v = np.asarray(values, dtype=float)
     n = m**depth
@@ -85,8 +99,12 @@ def leaf_maximal(values, m: int, depth: int) -> np.ndarray:
     levels = _levels(v + 0.0, m, depth)
     run = levels[0]
     for avg in levels[1:]:
-        kids = avg.reshape(run.shape + (m,))
-        np.maximum(run[..., None], kids, out=kids)
+        if run.size < _STRIDED_FROM:
+            kids = avg.reshape(run.shape + (m,))
+            np.maximum(run[..., None], kids, out=kids)
+        else:
+            for j in range(m):
+                np.maximum(run, avg[..., j::m], out=avg[..., j::m])
         run = avg
     return run
 
@@ -181,9 +199,7 @@ def project_to_moments(values, f: float, h: float, q: float) -> np.ndarray:
     # family reaches is f^q * (npos/n)^(1-q)
     top = q * logf + (1.0 - q) * math.log(npos / n) - logh
     if top < 0:
-        raise InfeasibleStartError(
-            f"support fraction {npos}/{n} caps the q-mass below h"
-        )
+        raise InfeasibleStartError(f"support fraction {npos}/{n} caps the q-mass below h")
     if u.max() - u.min() < 1e-13:
         # constant positives: b has no effect, feasible only if top == 0
         if abs(top) < 1e-12:
@@ -202,9 +218,9 @@ def project_to_moments(values, f: float, h: float, q: float) -> np.ndarray:
     out = np.zeros(n)
     out[pos] = [math.exp(la + b * x) for x in ul]
     out *= f / out.mean()
-    if abs(out.mean() - f) > 1e-10 * max(1.0, f):
+    if abs(out.mean() - f) > 1e-10 * f:
         raise InfeasibleStartError("mass repair did not converge")
-    if abs((out**q).mean() - h) > 1e-10 * max(1.0, h):
+    if abs((out**q).mean() - h) > 1e-10 * h:
         raise InfeasibleStartError("q-mass repair did not converge")
     return out
 
@@ -251,24 +267,11 @@ def _finish_report(vals, params, spec, iterations, seed, restarts,
     res = eigen_residual(phi, params, spec)
     exc = excess_set(phi, params.L, spec, params.q)
     return SearchReport(
-        params=params,
-        m=spec.m,
-        depth=spec.depth,
-        best_phi=phi,
-        objective=obj,
-        top_objective=top_objective,
-        analytic_bound=bound,
-        gap=bound - obj,
-        residual=res.total,
-        excess_k=float(exc.measure),
-        excess_a=float(exc.q_mass),
-        excess_b=float(exc.mass),
-        iterations=iterations,
-        seed=seed,
-        restarts=restarts,
-        best_restart=best_restart,
-        top_restart=top_restart,
-    )
+        params=params, m=spec.m, depth=spec.depth, best_phi=phi, objective=obj,
+        top_objective=top_objective, analytic_bound=bound, gap=bound - obj,
+        residual=res.total, excess_k=float(exc.measure), excess_a=float(exc.q_mass),
+        excess_b=float(exc.mass), iterations=iterations, seed=seed, restarts=restarts,
+        best_restart=best_restart, top_restart=top_restart)
 
 
 # -- seeding ------------------------------------------------------------
@@ -431,7 +434,6 @@ def _pair_targets(s1: float, s2: float, q: float):
 def _three_cell_targets(vi, vj, vk, t, q):
     """New (a, b) for cells j, k after cell i moves to t, or None: the
     _pair_targets that keep both the mass and the q-mass of the three."""
-    vi, vj, vk, t = float(vi), float(vj), float(vk), float(t)
     s1 = vi + vj + vk - t
     if s1 < 0:
         return None
@@ -508,7 +510,7 @@ def _consolidate_tail(vals, params, spec):
             for r1, r2 in pairs:
                 if i == r1 or i == r2:
                     continue
-                sol = _three_cell_targets(vals[i], vals[r1], vals[r2], tau, q)
+                sol = _three_cell_targets(vals.item(i), vals.item(r1), vals.item(r2), tau, q)
                 if sol is None:
                     continue
                 a, b = sol
@@ -548,27 +550,29 @@ def _rows(rng: random.Random, count: int) -> list:
     return (words >> 11).tolist()
 
 
-def _distinct(words, n: int) -> list:
-    """Distinct indices below n, one per 53-bit word: the t-th ranges over
-    the n - t values not yet taken, in increasing order."""
-    out = []
-    for t, w in enumerate(words):
-        x = (w * (n - t)) >> 53
-        for y in sorted(out):
-            x += x >= y
+def _distinct(words, at: int, count: int, n: int) -> list:
+    """Distinct indices below n, one per 53-bit word of words[at:at + count]:
+    the t-th ranges over the n - t values not yet taken, in increasing order."""
+    out, taken = [], []  # taken: out in increasing order
+    for t in range(count):
+        x, pos = (words[at + t] * (n - t)) >> 53, 0
+        while pos < t and taken[pos] <= x:
+            x, pos = x + 1, pos + 1
+        taken.insert(pos, x)
         out.append(x)
     return out
 
 
-def _cells(row, n: int, slack: list):
-    """Cells (i, j, k) of a three-cell move from words 1-4 of a row, or
-    None.  If slack, the cells below the floor, holds two, word 1 sends 60%
-    of moves there for j and k, with i anywhere (None if it hits one)."""
-    if len(slack) >= 2 and row[1] * _UNIT < 0.6:
-        i = (row[2] * n) >> 53
-        j, k = (slack[x] for x in _distinct(row[3:5], len(slack)))
-        return None if i == j or i == k else (i, j, k)
-    return tuple(_distinct(row[2:5], n))
+def _cells(words, at: int, n: int, slack: list):
+    """Cells [i, j, k] of a three-cell move from words 1-4 of the row at
+    words[at], or None.  If slack, the cells below the floor, holds two,
+    word 1 sends 60% of moves there for j and k, with i anywhere (None if
+    it hits one)."""
+    if len(slack) >= 2 and words[at + 1] * _UNIT < 0.6:
+        i = (words[at + 2] * n) >> 53
+        j, k = map(slack.__getitem__, _distinct(words, at + 3, 2, len(slack)))
+        return None if i == j or i == k else [i, j, k]
+    return _distinct(words, at + 2, 3, n)
 
 
 # candidate rows per window: at depth 8 _objective costs a lone row 6x its
@@ -587,13 +591,16 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
     instead of the built-in seed shapes (still moment-repaired first).
 
     The seed shapes draw from rng itself; after them proposal p decodes row
-    p of the chain's random rows (_rows) against the current values.
+    p of the chain's random rows (_rows), read at offset 8p of the word
+    list, against fv, the values as Python floats, rebuilt on each accept.
     Proposals are scored speculatively, about _WINDOW_ROWS candidate rows
     per window, and visited in order; the first accept drops the rest of
     its window, and the next window starts at the row after it, rows drawn
-    past it kept.  Batch rows reduce as if alone and nothing a proposal
-    reads changes before an accept, so the trajectory is that of scoring
-    each proposal alone, whatever the window.
+    past it kept.  A window stages its moves as (flat index, value) writes
+    and block sorts; its batch is one broadcast of vals, one scatter of the
+    writes, then the sorts.  Batch rows reduce as if alone and nothing a
+    proposal reads changes before an accept, so the trajectory is that of
+    scoring each proposal alone, whatever the window.
     """
     rng = random.Random(f"{seed}:{ridx}:bklab-search")
     m, depth, n = spec.m, spec.depth, spec.n_leaves
@@ -622,79 +629,80 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
 
     objs, mxs = yield vals[None]
     cur, cur_mx = float(objs[0]), mxs[0].copy()
+    fv = vals.tolist()  # vals as Python floats; rebuilt after an accept
     slack = None  # cells of cur_mx at or below the floor; rebuilt after an accept
     tau = params.tau
 
-    def propose(row):
-        """The move a row of words asks for: (i, j, k, t) three-cell, (i, j)
-        swap, a block slice to sort, or None for one that proposes nothing."""
+    def propose(at, row):
+        """Stage the move the row of words at words[at] asks for from cand
+        row `row` on; return the rows it takes: 2 for a three-cell move (both
+        orientations of (a, b)), 1 for a swap or a block sort, 0 for none."""
         nonlocal slack
-        r = row[0] * _UNIT
+        r = words[at] * _UNIT
         if n >= 3 and r < 0.55:
             # below the floor the objective ignores the values, so such
             # cells absorb moment corrections for free
             if slack is None:
                 slack = np.flatnonzero(cur_mx <= L).tolist()
-            cells = _cells(row, n, slack)
+            cells = _cells(words, at, n, slack)
             if cells is None:
-                return None
+                return 0
             i, j, k = cells
-            vi = vals[i]
-            style = row[5] * _UNIT
+            vi = fv[i]
+            style = words[at + 5] * _UNIT
             if style < 0.25:
                 t = 0.0
             elif style < 0.4:
                 t = tau
             elif style < 0.5:
-                t = vals[j]
+                t = fv[j]
             else:
                 # a standard normal from words 6 and 7, as random.gauss has it
-                z = (math.cos(row[6] * _UNIT * math.tau)
-                     * math.sqrt(-2.0 * math.log(1.0 - row[7] * _UNIT)))
+                z = (math.cos(words[at + 6] * _UNIT * math.tau)
+                     * math.sqrt(-2.0 * math.log(1.0 - words[at + 7] * _UNIT)))
                 t = vi * math.exp(z * 0.7) if vi > 0 else f * math.exp(z)
-            return i, j, k, t
+            sol = _three_cell_targets(vi, fv[j], fv[k], t, q)
+            if sol is None:
+                return 0
+            a, b = sol
+            i, j, k = i + row * n, j + row * n, k + row * n
+            edit_at.extend((i, j, k, i + n, j + n, k + n))
+            edit_to.extend((t, a, b, t, b, a))
+            return 2
         if r < 0.85:
-            i, j = _distinct(row[2:4], n)
-            return None if vals[i] == vals[j] else (i, j)
-        d = 1 + ((row[1] * depth) >> 53)
+            i, j = _distinct(words, at + 2, 2, n)
+            if fv[i] == fv[j]:
+                return 0
+            edit_at.extend((row * n + i, row * n + j))
+            edit_to.extend((fv[j], fv[i]))
+            return 1
+        d = 1 + ((words[at + 1] * depth) >> 53)
         block = m ** (depth - d)
-        idx = (row[2] * m**d) >> 53
-        return slice(idx * block, (idx + 1) * block)
+        idx = (words[at + 2] * m**d) >> 53
+        sorts.append((row, slice(idx * block, (idx + 1) * block)))
+        return 1
 
     cand = np.empty((_WINDOW_ROWS + 1, n))
+    flat = cand.reshape(-1)
     words, p = [], 0  # words starts with row p, the next proposal's
     while p < budget:
-        # (proposals read up to and including it, its row, its last row): a
-        # three-cell move stages both orientations of (a, b), the second
-        # winning only if strictly better
-        staged = []
+        # staged: (proposals read up to and including it, its row, its last
+        # row), the last winning only if strictly better; the window's flat
+        # indices into cand and their values, and its (row, block) sorts
+        staged, edit_at, edit_to, sorts = [], [], [], []
         rows = read = 0
         while rows < _WINDOW_ROWS and p + read < budget:
             if len(words) == _ROW * read:
                 words += _rows(rng, _REFILL)
-            move = propose(words[_ROW * read:_ROW * (read + 1)])
+            took = propose(_ROW * read, rows)
             read += 1
-            if move is None:
-                continue
-            row = rows
-            cand[row] = vals
-            if isinstance(move, slice):
-                cand[row, move] = np.sort(vals[move])[::-1]
-            elif len(move) == 2:
-                i, j = move
-                cand[row, i], cand[row, j] = vals[j], vals[i]
-            else:
-                i, j, k, t = move
-                sol = _three_cell_targets(vals[i], vals[j], vals[k], t, q)
-                if sol is None:
-                    continue
-                rows += 1
-                cand[rows] = vals
-                cand[row:rows + 1, i] = t
-                cand[row:rows + 1, j] = sol
-                cand[row:rows + 1, k] = sol[::-1]
-            staged.append((read, row, rows))
-            rows += 1
+            if took:
+                staged.append((read, rows, rows + took - 1))
+                rows += took
+        cand[:rows] = vals
+        flat[edit_at] = edit_to
+        for row, block in sorts:
+            cand[row, block] = np.sort(vals[block])[::-1]
         objs, mxs = yield cand[:rows]
         objs = objs.tolist()
         for upto, row, last in staged:
@@ -702,6 +710,7 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
             if objs[row] > cur:
                 read = upto
                 vals[:] = cand[row]
+                fv = vals.tolist()
                 # a copy: a view would keep the whole batch alive
                 cur, cur_mx, slack = objs[row], mxs[row].copy(), None
                 break
@@ -773,9 +782,7 @@ def local_search(params: BellmanParams, spec: TreeSpec, seed: int = 0,
             for out in _lockstep(chains[lo:lo + group], params.L, q, spec.m, spec.depth)]
     kept = [(ridx, out) for ridx, out in enumerate(done) if out is not None]
     if not kept:
-        raise InfeasibleStartError(
-            f"no restart found a feasible start at depth {spec.depth}"
-        )
+        raise InfeasibleStartError(f"no restart found a feasible start at depth {spec.depth}")
     top_ridx, (top, _) = max(kept, key=lambda row: row[1][0])
     floor = top * (1.0 - _SELECT_REL_TOL)
     # the tail returns its input's objective, so only the band needs it
@@ -858,9 +865,7 @@ def brute_force_oracle(params: BellmanParams, spec: TreeSpec, grid: int = 8) -> 
             best_obj = float(objs[j])
             best_vals = scaled[j].copy()
     if best_vals is None:
-        raise InfeasibleStartError(
-            f"no quantized pattern reaches the q-mass band of width {band}"
-        )
+        raise InfeasibleStartError(f"no quantized pattern reaches the q-mass band of width {band}")
     vals = project_to_moments(best_vals, f, h, q)
     return _finish_report(vals, params, spec, combos, 0, 1, 0)
 
@@ -905,18 +910,11 @@ def convergence_study(params: BellmanParams, depths, seed: int = 0,
             extra = [np.repeat(prev_vals, m ** (depth - prev_depth))]
         rep = local_search(params, spec, seed=seed, budget=budget,
                            restarts=restarts, extra_seeds=extra)
-        if reports:
-            last = reports[-1]
-            if rep.gap > last.gap * 1.10 + 1e-12:
-                raise ConvergenceError(
-                    f"gap rose from {last.gap} at depth {last.depth} "
-                    f"to {rep.gap} at depth {depth}"
-                )
-            if rep.residual > last.residual * 1.10 + 1e-12:
-                raise ConvergenceError(
-                    f"residual rose from {last.residual} at depth {last.depth} "
-                    f"to {rep.residual} at depth {depth}"
-                )
+        for name in ("gap", "residual") if reports else ():
+            old, new = getattr(reports[-1], name), getattr(rep, name)
+            if new > old * 1.10 + 1e-12:
+                raise ConvergenceError(f"{name} rose from {old} at depth "
+                                       f"{reports[-1].depth} to {new} at depth {depth}")
         reports.append(rep)
         prev_vals = np.array([float(v) for v in rep.best_phi.leaf_values(spec)])
         prev_depth = depth

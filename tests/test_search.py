@@ -127,7 +127,11 @@ class TestLeafMaximal:
         # signed zeros, subnormals and wide ranges, row by row and batched
         rng = random.Random(11)
         palette = (0.0, -0.0, 5e-324, 1e-300)
-        for m, depth in ((2, 0), (2, 1), (2, 4), (2, 8), (3, 1), (3, 3), (4, 2), (4, 3)):
+        # the last three batches have wide levels: their running max takes
+        # the strided path there and the broadcast above, at m = 2, 3 and 4
+        wide = ((2, 10), (3, 5), (4, 4))
+        assert all(10 * m ** (depth - 1) >= search._STRIDED_FROM for m, depth in wide)
+        for m, depth in ((2, 0), (2, 1), (2, 4), (2, 8), (3, 1), (3, 3), (4, 2), (4, 3), *wide):
             spec = TreeSpec(m, depth)
             n = spec.n_leaves
             rows, wants = [], []
@@ -179,7 +183,7 @@ class TestLeafMaximal:
     def test_batch_rows_match_single_calls(self):
         # the batched search relies on every row being reduced as if alone
         rng = np.random.default_rng(3)
-        for m, depth in ((2, 3), (2, 8), (3, 5), (4, 4)):
+        for m, depth in ((2, 3), (2, 8), (2, 10), (3, 5), (4, 4)):
             for size in (2, 5, 6, 64):
                 batch = rng.random((size, m**depth)) * 2.0
                 batch[rng.random(batch.shape) < 0.2] = 0.0
@@ -217,7 +221,8 @@ class TestRows:
         # are uniform to within n / 2^53
         for n in (2, 3, 4, 5):
             for k in range(1, min(n, 3) + 1):
-                got = [tuple(_distinct([-(-x * 2**53 // (n - t)) for t, x in enumerate(xs)], n))
+                got = [tuple(_distinct([-(-x * 2**53 // (n - t)) for t, x in enumerate(xs)],
+                                       0, k, n))
                        for xs in itertools.product(*(range(n - t) for t in range(k)))]
                 assert sorted(got) == sorted(itertools.permutations(range(n), k)), (n, k)
 
@@ -229,7 +234,7 @@ class TestRows:
         for n in (3, 4):
             for slack in ([], [0, n - 1], [0, 1, n - 1]):
                 for words in itertools.product(edges, repeat=4):
-                    cells = _cells([0, *words, 0, 0, 0], n, slack)
+                    cells = _cells([0, *words, 0, 0, 0], 0, n, slack)
                     to_slack = len(slack) >= 2 and words[0] == 0
                     if cells is None:
                         assert to_slack
@@ -328,6 +333,26 @@ class TestProjectToMoments:
             return
         assert abs(out.mean() - f) <= 1e-10 * max(1.0, f)
         assert abs((out**q).mean() - h) <= 1e-10 * max(1.0, h)
+
+    @pytest.mark.parametrize("f", [1.0, 1e-30, 1e-100])
+    def test_near_the_one_cell_edge_both_moments_are_relative(self, f):
+        # h just above f^q n^(q-1) at q = 0.01: the cells beside the heavy
+        # one must carry their q-mass on values that underflow, so these
+        # draws are refused; closing checks absolute where h < 1 once let
+        # misses of up to 2e-7 relative through
+        q, n = 0.01, 256
+        rng = random.Random(5)
+        for _ in range(40):
+            h = f**q * n ** (q - 1.0) * (1.0 + 10.0 ** rng.uniform(-9.0, -3.0))
+            sdev, zeros = rng.choice((1.0, 5.0, 20.0)), rng.choice((0.0, 0.9, 0.99))
+            v = np.array([0.0 if rng.random() < zeros else math.exp(rng.gauss(0.0, sdev))
+                          for _ in range(n)])
+            try:
+                out = project_to_moments(v, f, h, q)
+            except InfeasibleStartError:
+                continue
+            assert abs(out.mean() - f) <= 1e-10 * f
+            assert abs((out**q).mean() - h) <= 1e-10 * h
 
     def test_validation(self):
         with pytest.raises(DomainError):
