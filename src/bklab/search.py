@@ -591,8 +591,8 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
     instead of the built-in seed shapes (still moment-repaired first).
 
     The seed shapes draw from rng itself; after them proposal p decodes row
-    p of the chain's random rows (_rows), read at offset 8p of the word
-    list, against fv, the values as Python floats, rebuilt on each accept.
+    p of the chain's random rows (_rows), read in place in the word list,
+    against fv, the values as Python floats, rebuilt on each accept.
     Proposals are scored speculatively, about _WINDOW_ROWS candidate rows
     per window, and visited in order; the first accept drops the rest of
     its window, and the next window starts at the row after it, rows drawn
@@ -665,8 +665,8 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
             if sol is None:
                 return 0
             a, b = sol
-            i, j, k = i + row * n, j + row * n, k + row * n
-            edit_at.extend((i, j, k, i + n, j + n, k + n))
+            r0, r1 = row * n, (row + 1) * n
+            edit_at.extend((r0 + i, r0 + j, r0 + k, r1 + i, r1 + j, r1 + k))
             edit_to.extend((t, a, b, t, b, a))
             return 2
         if r < 0.85:
