@@ -14,10 +14,12 @@ The linearization assigns to each point the shallowest ancestor attaining
 that maximum, giving the distinguished family S_phi, the sets A(phi, I) and
 the representation M phi = sum y_I 1_{A(phi, I)}.
 
-All tree evaluators share one levels pass (``_levels``: every average from
-its m children, in index order) and one running max (``_running_max``: per
-leaf, the largest ancestor average and the shallowest depth attaining it),
-so M phi, the A-sets, the excess set and the inequality gaps agree to the bit.
+Every tree evaluator reads one tree per function and spec, built by ``_tree``
+on first request and kept as long as the function lives: the levels
+(``_levels``: every average from its m children, in index order) and their
+running max (``_running_max``: per leaf, the largest ancestor average and the
+shallowest depth attaining it), (m^(N+1) - 1)/(m - 1) + 2 m^N numbers in all.
+So M phi, the A-sets, the excess set and the inequality gaps agree to the bit.
 The search's vectorized ``leaf_maximal`` runs the same float arithmetic in
 NumPy, so it gives maximal_function's float leaf values bit for bit as well:
 for m = 2^k it multiplies by 2^-k, which rounds as the divide by m does, and
@@ -36,6 +38,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
@@ -161,7 +164,7 @@ class StepFunction:
     exact arithmetic end to end.
     """
 
-    __slots__ = ("breakpoints", "values")
+    __slots__ = ("breakpoints", "values", "_trees")
 
     def __init__(self, breakpoints, values):
         bps = tuple(Fraction(b) for b in breakpoints)
@@ -175,6 +178,7 @@ class StepFunction:
                 raise DomainError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_trees", {})  # TreeSpec -> _Tree, filled by _tree
 
     def __setattr__(self, name, value):
         raise AttributeError("StepFunction is immutable")
@@ -195,6 +199,7 @@ class StepFunction:
         self = object.__new__(cls)
         object.__setattr__(self, "breakpoints", tuple(breakpoints))
         object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "_trees", {})
         return self
 
     @classmethod
@@ -375,7 +380,7 @@ def _levels(leaves: list, m: int) -> list[list]:
     Float leaves give float averages, their sums added in index order onto
     0.0 on every Python version.  Integer leaves are the exact
     representation: all on one common scale and each a multiple of m^N (see
-    _tree_levels), so every block sum divides by m with ``//`` and no
+    _tree), so every block sum divides by m with ``//`` and no
     remainder, and every average is an integer on that same scale.
     """
     if isinstance(leaves[0], int):
@@ -414,27 +419,32 @@ def _running_max(levels: list[list], m: int) -> tuple[list, list[int]]:
     return best, depth
 
 
-def _tree_levels(phi: StepFunction, spec: TreeSpec) -> tuple[list[list], int | None]:
-    """Averages levels of phi, [depth][index], and the scale they are on.
+# phi's tree at one spec: _levels and their scale, _running_max's per-leaf max and depth
+_Tree = namedtuple("_Tree", "levels scale best depths")
+
+
+def _tree(phi: StepFunction, spec: TreeSpec) -> _Tree:
+    """The tree of phi at spec, built on first request and kept on phi; callers only read it.
 
     Float values give float levels (every leaf made a float first) and scale
-    None, or DomainError past the float maximum.  Exact values give integer
-    levels on the scale D m^N, D the lcm of the value denominators: the average
-    over element (d, j) is exactly levels[d][j] / scale.  Requires leaf alignment.
+    None, or DomainError past the float maximum, raised on every call since
+    nothing is kept.  Exact values give integer levels on the scale D m^N, D
+    the lcm of the value denominators: the average over element (d, j) is
+    exactly levels[d][j] / scale.  Requires leaf alignment.
     """
+    tree = phi._trees.get(spec)
+    if tree is not None:
+        return tree
     if not phi.is_exact:
-        levels = _levels([float(v) for v in phi.leaf_values(spec)], spec.m)
+        levels, scale = _levels([float(v) for v in phi.leaf_values(spec)], spec.m), None
         if levels[0][0] == math.inf:  # values are nonnegative: any overflow reaches the root
             raise DomainError("float block sum overflows past 1.8e308; pass phi.to_exact()")
-        return levels, None
-    scale = math.lcm(*(v.denominator for v in phi.values)) * spec.n_leaves
-    leaves = [v.numerator * (scale // v.denominator) for v in phi.leaf_values(spec)]
-    return _levels(leaves, spec.m), scale
-
-
-def _leaf_floats(levels: list[list], scale: int | None, m: int) -> tuple[list, list]:
-    """Float leaf values of M phi and of phi, from the levels of _tree_levels."""
-    return _unscale_floats(_running_max(levels, m)[0], scale), _unscale_floats(levels[-1], scale)
+    else:
+        scale = math.lcm(*(v.denominator for v in phi.values)) * spec.n_leaves
+        levels = _levels([v.numerator * (scale // v.denominator)
+                          for v in phi.leaf_values(spec)], spec.m)
+    tree = phi._trees[spec] = _Tree(levels, scale, *_running_max(levels, spec.m))
+    return tree
 
 
 def tree_averages(phi: StepFunction, spec: TreeSpec) -> list[list[Value]]:
@@ -443,14 +453,14 @@ def tree_averages(phi: StepFunction, spec: TreeSpec) -> list[list[Value]]:
     Fractions when phi has Fraction values; otherwise every leaf is made a
     float first.  Requires leaf alignment.
     """
-    levels, scale = _tree_levels(phi, spec)
-    return [[_unscale(v, scale) for v in row] for row in levels]
+    t = _tree(phi, spec)
+    return [[_unscale(v, t.scale) for v in row] for row in t.levels]
 
 
 def maximal_function(phi: StepFunction, spec: TreeSpec) -> StepFunction:
     """M phi as a step function on the same leaf grid; exact in rational mode."""
-    levels, scale = _tree_levels(phi, spec)
-    return StepFunction._from_runs(_running_max(levels, spec.m)[0], spec, scale)
+    t = _tree(phi, spec)
+    return StepFunction._from_runs(t.best, spec, t.scale)
 
 
 def is_t_good(phi: StepFunction, spec: TreeSpec) -> bool:
@@ -495,19 +505,11 @@ class Linearization:
 
 def linearize(phi: StepFunction, spec: TreeSpec) -> Linearization:
     """Distinguished family of phi by the shallowest-attaining-ancestor rule."""
-    return _linearize(*_tree_levels(phi, spec), spec)
-
-
-def _linearize(levels: list[list], scale: int | None, spec: TreeSpec,
-               depths: list[int] | None = None) -> Linearization:
-    """linearize over _tree_levels' levels and scale, and _running_max's depths if held."""
-    m, N = spec.m, spec.depth
-
+    levels, scale, _, depths = _tree(phi, spec)
+    m = spec.m
     # the A-sets, star walk and ordering work on (depth, index) keys; one
     # TreeElement is built per member of S_phi, not per leaf
-    groups: dict[tuple[int, int], list[int]] = {(0, 0): []}
-    for i, d in enumerate(_running_max(levels, m)[1] if depths is None else depths):
-        groups.setdefault((d, i // m ** (N - d)), []).append(i)
+    groups = _a_sets(depths, spec)
     elements = {key: TreeElement(*key) for key in sorted(groups)}
 
     star: dict[TreeElement, TreeElement | None] = {}
@@ -529,6 +531,15 @@ def _linearize(levels: list[list], scale: int | None, spec: TreeSpec,
     )
 
 
+def _a_sets(depths: list[int], spec: TreeSpec) -> dict[tuple[int, int], list[int]]:
+    """Leaf indices by the (depth, index) key of their A-set; the root is always a key."""
+    widths = [spec.m ** (spec.depth - d) for d in range(spec.depth + 1)]
+    groups: dict[tuple[int, int], list[int]] = {(0, 0): []}
+    for i, d in enumerate(depths):
+        groups.setdefault((d, i // widths[d]), []).append(i)
+    return groups
+
+
 def s_phi_by_criterion(phi: StepFunction, spec: TreeSpec) -> frozenset[TreeElement]:
     """S_phi by the strict ancestor-average test.
 
@@ -536,7 +547,7 @@ def s_phi_by_criterion(phi: StepFunction, spec: TreeSpec) -> frozenset[TreeEleme
     Av_J(phi) < Av_I(phi); the root always belongs.  Independent of
     linearize(), which goes through the A-sets.
     """
-    levels = _tree_levels(phi, spec)[0]  # comparisons only: any common scale serves
+    levels = _tree(phi, spec).levels  # comparisons only: any common scale serves
     m = spec.m
     out = {ROOT}
     prev = [None]
@@ -574,22 +585,13 @@ def excess_set(phi: StepFunction, L, spec: TreeSpec, q: float) -> ExcessSet:
     The union of the returned elements equals {M phi >= L} exactly at leaf
     resolution.  B >= k L whenever the set is nonempty.
     """
-    return _excess_from_levels(*_tree_levels(phi, spec), L, spec, q)
-
-
-def _scaled_threshold(L, scale: int) -> int:
-    """Least integer t with t / scale >= L: a level on scale is >= L iff it is >= t."""
-    L = Fraction(L)
-    return -(-L.numerator * scale // L.denominator)
-
-
-def _excess_from_levels(levels: list[list], scale: int | None, L, spec: TreeSpec,
-                        q: float) -> ExcessSet:
-    """excess_set over the levels of _tree_levels and their scale."""
     if L != L or L in (math.inf, -math.inf):
         raise DomainError(f"threshold L must be finite, got {L}")
+    _check_q(q)
+    levels, scale = _tree(phi, spec)[:2]
     m, N = spec.m, spec.depth
-    bar = L if scale is None else _scaled_threshold(L, scale)
+    # an integer v on scale has v / scale >= L iff v >= ceil(L scale), exactly
+    bar = L if scale is None else math.ceil(Fraction(L) * scale)
     chosen: list[TreeElement] = []
 
     stack = [ROOT]
@@ -640,9 +642,8 @@ class InequalityGap:
 
 def weak_type_gap(phi: StepFunction, lam: float, spec: TreeSpec) -> InequalityGap:
     """mu({M phi > lam}) <= (1/lam) integral of phi over {M phi > lam}."""
-    levels, scale = _tree_levels(phi, spec)
-    lvals = _unscale_floats(levels[-1], scale)
-    return _weak_type_slack(_running_max(levels, spec.m)[0], lvals, lam, spec, scale)
+    t = _tree(phi, spec)
+    return _weak_type_slack(t.best, _unscale_floats(t.levels[-1], t.scale), lam, spec, t.scale)
 
 
 def _weak_type_slack(mvals, leaf_vals, lam, spec: TreeSpec, scale=None) -> InequalityGap:
@@ -659,9 +660,9 @@ def _weak_type_slack(mvals, leaf_vals, lam, spec: TreeSpec, scale=None) -> Inequ
 
 def kolmogorov_gap(phi: StepFunction, q: float, leaves, spec: TreeSpec) -> InequalityGap:
     """integral_E (M phi)^q <= (1-q)^-1 mu(E)^(1-q) ||phi||_1^q for any leaf union E."""
-    levels, scale = _tree_levels(phi, spec)
-    mvals, _ = _leaf_floats(levels, scale, spec.m)
-    return _kolmogorov_slack(mvals, _unscale_floats(levels[0], scale)[0], q, leaves, spec)
+    t = _tree(phi, spec)
+    return _kolmogorov_slack(_unscale_floats(t.best, t.scale),
+                             _unscale_floats(t.levels[0], t.scale)[0], q, leaves, spec)
 
 
 def _kolmogorov_slack(mvals, norm1: float, q: float, leaves, spec: TreeSpec) -> InequalityGap:

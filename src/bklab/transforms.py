@@ -38,17 +38,16 @@ from .dyadic import (
     StepFunction,
     TreeElement,
     TreeSpec,
-    _excess_from_levels,
+    _a_sets,
     _kolmogorov_slack,
     _levels,
-    _leaf_floats,
-    _linearize,
     _running_max,
-    _scaled_threshold,
     _sum_in_order,
-    _tree_levels,
+    _tree,
     _unscale_floats,
     _weak_type_slack,
+    excess_set,
+    linearize,
 )
 from .errors import (
     DomainError,
@@ -63,9 +62,11 @@ from .kernel import BellmanParams, _check_q, omega_q
 
 def objective(phi: StepFunction, L: float, q: float, spec: TreeSpec) -> float:
     """integral of max(M phi, L)^q over [0, 1)."""
-    if L <= 0:
-        raise DomainError(f"threshold L must be positive, got {L}")
-    mvals, _ = _leaf_floats(*_tree_levels(phi, spec), spec.m)
+    if not 0 < L < math.inf:
+        raise DomainError(f"threshold L must be finite and positive, got {L}")
+    _check_q(q)
+    t = _tree(phi, spec)
+    mvals = _unscale_floats(t.best, t.scale)
     return _sum_in_order(max(v, L) ** q for v in mvals) * float(spec.leaf_measure)
 
 
@@ -90,7 +91,8 @@ def eigen_residual(phi: StepFunction, params: BellmanParams, spec: TreeSpec) -> 
     w = float(spec.leaf_measure)
     inside = outside = 0.0
     k = 0
-    for mv, lv in zip(*_leaf_floats(*_tree_levels(phi, spec), spec.m)):
+    t = _tree(phi, spec)
+    for mv, lv in zip(_unscale_floats(t.best, t.scale), _unscale_floats(t.levels[-1], t.scale)):
         if mv >= L:
             inside += abs(mv - root * lv) ** q * w
             k += 1
@@ -174,12 +176,11 @@ _GAP_KINDS = {
 }
 
 
-def _gap_sweep(kind, phi, spec, q, family, betas, lin=None, floats=None):
+def _gap_sweep(kind, phi, spec, q, family, betas, lin=None):
     """lhs and the rhs at each beta for one evaluator kind and one family.
 
     lhs does not depend on beta, and everything in the rhs but its final
-    formula is computed once.  A caller that already holds lin and the float
-    leaf values of M phi and of phi passes them as ``lin`` and ``floats``.
+    formula is computed once.  A caller that already holds lin passes it.
     ||phi||_1 is the root average, so a root-only family has e = 0 exactly.
     """
     for beta in betas:
@@ -188,13 +189,10 @@ def _gap_sweep(kind, phi, spec, q, family, betas, lin=None, floats=None):
     _check_q(q)
     maximal, complement = _GAP_KINDS[kind]
     family = tuple(family)
-    if floats is None:
-        levels, scale = _tree_levels(phi, spec)
-        best, depths = _running_max(levels, spec.m)
-        floats = _unscale_floats(best, scale), _unscale_floats(levels[-1], scale)
-        lin = lin if lin is not None else _linearize(levels, scale, spec, depths)
+    t = _tree(phi, spec)
+    lin = lin if lin is not None else linearize(phi, spec)
     union = _family_leaves(family, lin, spec, maximal=maximal)
-    mvals, lvals = floats
+    mvals, lvals = _unscale_floats(t.best, t.scale), _unscale_floats(t.levels[-1], t.scale)
     m, w = spec.m, float(spec.leaf_measure)
     e1 = _sum_in_order(1 / m**el.depth * float(lin.averages[el]) ** q for el in family)
     if complement:
@@ -301,11 +299,10 @@ def g_phi(phi: StepFunction, L, q: float, spec: TreeSpec,
     grid = spec.m**refine
 
     work = phi.to_exact()
-    levels, scale = _tree_levels(work, spec)  # one exact pass serves both below
-    lin = _linearize(levels, scale, spec)
-    exc = _excess_from_levels(levels, scale, L, spec, q)
-    bar = _scaled_threshold(L, scale)
-    leaf_vals = levels[-1]  # phi on leaf i is leaf_vals[i] / scale
+    exc = excess_set(work, L, spec, q)
+    excess = set(exc.leaves)  # an A-set lies in {M phi >= L} iff its average is >= L
+    t = _tree(work, spec)
+    leaf_vals, scale = t.levels[-1], t.scale  # phi on leaf i is leaf_vals[i] / scale
     n = spec.n_leaves
     # lengths are integers in units of 1/unit, the finer of the leaf and refine grids
     unit = spec.m ** max(refine, spec.depth)
@@ -314,10 +311,10 @@ def g_phi(phi: StepFunction, L, q: float, spec: TreeSpec,
 
     entries: list[GPhiEntry] = []
     cut: dict[int, tuple[Fraction, int]] = {}  # excess leaf -> (c, support length)
-    for el in lin.elements:
-        idxs = lin.a_sets[el]
-        if not idxs or levels[el.depth][el.index] < bar:
+    for (d, j), idxs in sorted(_a_sets(t.depths, spec).items()):
+        if not idxs or idxs[0] not in excess:
             continue
+        el = TreeElement(d, j)
         vals = [leaf_vals[i] for i in idxs]
         a = Fraction(sum(vals), scale * n)
         b = _sum_in_order((v / scale) ** q * fw for v in vals)
@@ -464,16 +461,15 @@ def verify_suite(n_phi: int, spec: TreeSpec, q: float, *, n_beta: int = 50,
     batches = []  # (phi id, kind, label, betas, lhs per beta, rhs per beta)
     for pid in range(n_phi):
         phi = random_step_function(rng, spec)
-        levels, scale = _tree_levels(phi, spec)
-        best, depths = _running_max(levels, spec.m)
-        lin = _linearize(levels, scale, spec, depths)
+        lin = linearize(phi, spec)
         fam_max = random_maximal_family(lin, spec, rng)
         fam_dis = random_disjoint_family(lin, spec, rng)
-        floats = mvals, lvals = _unscale_floats(best, scale), _unscale_floats(levels[-1], scale)
+        t = _tree(phi, spec)
+        mvals, lvals = _unscale_floats(t.best, t.scale), _unscale_floats(t.levels[-1], t.scale)
         norm1 = float(lin.averages[ROOT])
         for kind, (maximal, _) in _GAP_KINDS.items():
             fam, label = (fam_max, "maximal") if maximal else (fam_dis, "disjoint")
-            lhs, rhss = _gap_sweep(kind, phi, spec, q, fam, betas, lin, floats)
+            lhs, rhss = _gap_sweep(kind, phi, spec, q, fam, betas, lin)
             batches.append((pid, kind, f"{kind}:{label}", betas, [lhs] * n_beta, rhss))
         top = float(max(lin.averages.values(), default=0.0)) or 1.0
         lams = [top * math.exp(rng.uniform(math.log(1e-3), math.log(1.2))) for _ in range(5)]

@@ -4,6 +4,7 @@ The brute-force reference for M phi recomputes every ancestor average through
 integral_over, bypassing the level-by-level recursion under test.
 """
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -29,14 +30,22 @@ from bklab.dyadic import (
     tree_averages,
     weak_type_gap,
 )
+from bklab import dyadic, transforms
 from bklab.errors import DomainError, NotTGoodError
+from bklab.kernel import BellmanParams
 from bklab.search import leaf_maximal
 from bklab.transforms import (
     ancestor_max_averages,
+    corollary41_gap,
+    eigen_residual,
     g_phi,
     leaf_integrals,
     objective,
+    random_disjoint_family,
+    random_maximal_family,
     random_step_function,
+    theorem41_gap,
+    theorem42_gap,
 )
 
 
@@ -466,6 +475,14 @@ ONE = StepFunction.constant(1.0)
     pytest.param(lambda: excess_set(ONE, math.nan, TreeSpec(2, 2), 0.5), id="excess-L-nan"),
     pytest.param(lambda: excess_set(ONE.to_exact(), math.inf, TreeSpec(2, 2), 0.5),
                  id="excess-L-inf"),
+    pytest.param(lambda: excess_set(ONE, 1.0, TreeSpec(2, 2), math.nan), id="excess-q-nan"),
+    pytest.param(lambda: excess_set(ONE, 1.0, TreeSpec(2, 2), 1.5), id="excess-q-1.5"),
+    pytest.param(lambda: excess_set(ONE.to_exact(), 1.0, TreeSpec(2, 2), -1.0),
+                 id="excess-q-negative"),
+    pytest.param(lambda: objective(ONE, math.nan, 0.5, TreeSpec(2, 2)), id="objective-L-nan"),
+    pytest.param(lambda: objective(ONE, math.inf, 0.5, TreeSpec(2, 2)), id="objective-L-inf"),
+    pytest.param(lambda: objective(ONE, 1.0, math.nan, TreeSpec(2, 2)), id="objective-q-nan"),
+    pytest.param(lambda: objective(ONE, 1.0, 1.5, TreeSpec(2, 2)), id="objective-q-1.5"),
 ])
 def test_input_checks_raise_domain_error(call):
     with pytest.raises(DomainError):
@@ -709,3 +726,156 @@ class TestIntegralAndLeafValues:
             digest.update(repr(number_key(StepFunction(bps, vals).integral())).encode())
         assert digest.hexdigest() == (
             "20962c66508a27bb3f89e47fbc7b1a894724561a481c82ce915f0c3b94822741")
+
+
+# -- one tree per function and spec ------------------------------------
+
+
+def exactly(x):
+    """x with every float as its hex string, so == compares bits (the sign of zero too)."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, StepFunction):
+        return exactly((x.breakpoints, x.values))
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return type(x).__name__, [exactly(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, dict):
+        return [(exactly(k), exactly(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [exactly(v) for v in x]
+    return x
+
+
+PARAMS = BellmanParams(q=0.5, f=1.0, h=0.8, L=1.2)
+
+# every evaluator that reads the tree of phi at spec, by name
+EVALUATORS = {
+    "tree_averages": lambda phi, spec: tree_averages(phi, spec),
+    "maximal_function": lambda phi, spec: maximal_function(phi, spec),
+    "linearize": lambda phi, spec: linearize(phi, spec),
+    "s_phi_by_criterion": lambda phi, spec: s_phi_by_criterion(phi, spec),
+    "excess_set": lambda phi, spec: excess_set(phi, 1.5, spec, 0.5),
+    "weak_type_gap": lambda phi, spec: weak_type_gap(phi, 1.5, spec),
+    "kolmogorov_gap": lambda phi, spec: kolmogorov_gap(
+        phi, 0.4, range(0, spec.n_leaves, 2), spec),
+    "objective": lambda phi, spec: objective(phi, 1.5, 0.5, spec),
+    "eigen_residual": lambda phi, spec: eigen_residual(phi, PARAMS, spec),
+    # the root alone is a maximal disjoint family in every S_phi
+    "theorem41_gap": lambda phi, spec: theorem41_gap(phi, spec, 0.5, [ROOT], 2.0),
+    "theorem42_gap": lambda phi, spec: theorem42_gap(phi, spec, 0.5, [ROOT], 2.0),
+    "corollary41_gap": lambda phi, spec: corollary41_gap(phi, spec, 0.5, [ROOT], 2.0),
+    # g_phi works on phi.to_exact(), which is phi itself only for an exact phi
+    "g_phi": lambda phi, spec: g_phi(phi, 1.5, 0.5, spec),
+}
+
+
+def fresh(phi):
+    """An equal function that has evaluated nothing yet."""
+    return StepFunction(phi.breakpoints, phi.values)
+
+
+class TestTreeOncePerSpec:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Levels passes made so far, by the m of each pass."""
+        made = []
+        levels = dyadic._levels
+
+        def counted(leaves, m):
+            made.append(m)
+            return levels(leaves, m)
+
+        monkeypatch.setattr(dyadic, "_levels", counted)
+        monkeypatch.setattr(transforms, "_levels", counted)
+        return made
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_one_levels_pass_per_spec(self, passes, exact):
+        # the 16 leaves of (2, 4) are the leaves of (4, 2): one function, two trees
+        phi = random_step_function(random.Random(3), TreeSpec(2, 4), exact=exact)
+        passes.clear()
+        for spec in (TreeSpec(2, 4), TreeSpec(4, 2), TreeSpec(2, 4)):
+            for name, call in EVALUATORS.items():
+                if exact or name != "g_phi":
+                    call(phi, spec)
+        assert passes == [2, 4]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.one_of(leaf_functions(FLOAT_VALUES), leaf_functions(EXACT_VALUES)))
+    def test_every_call_matches_a_fresh_function(self, case):
+        phi, spec = case
+        lin = linearize(fresh(phi), spec)
+        fam_max = random_maximal_family(lin, spec, random.Random(1))
+        fam_dis = random_disjoint_family(lin, spec, random.Random(2))
+        calls = {**EVALUATORS,
+                 "theorem41_gap:maximal": lambda f, s: theorem41_gap(f, s, 0.5, fam_max, 2.0),
+                 "theorem42_gap:disjoint": lambda f, s: theorem42_gap(f, s, 0.5, fam_dis, 2.0),
+                 "corollary41_gap:disjoint": lambda f, s: corollary41_gap(
+                     f, s, 0.5, fam_dis, 2.0)}
+        for _ in range(2):  # the second round reads the kept tree
+            for name, call in calls.items():
+                assert exactly(call(phi, spec)) == exactly(call(fresh(phi), spec)), name
+
+    def test_each_spec_gets_its_own_tree(self):
+        rng = random.Random(8)
+        for exact in (True, False):
+            phi = random_step_function(rng, TreeSpec(2, 4), exact=exact)
+            specs = (TreeSpec(2, 4), TreeSpec(4, 2), TreeSpec(2, 5), TreeSpec(2, 4))
+            for spec in specs:
+                for name, call in EVALUATORS.items():
+                    assert exactly(call(phi, spec)) == exactly(call(fresh(phi), spec)), name
+            assert tree_averages(phi, TreeSpec(2, 4)) != tree_averages(phi, TreeSpec(4, 2))
+
+    @pytest.mark.parametrize("name", [n for n in EVALUATORS if "gap" not in n and n != "g_phi"])
+    def test_float_overflow_raises_on_every_call(self, name):
+        huge = StepFunction.from_leaf_values([1e308, 1e308], TreeSpec(2, 1))
+        for _ in range(3):
+            with pytest.raises(DomainError, match="past 1.8e308"):
+                EVALUATORS[name](huge, TreeSpec(2, 1))
+
+    def test_mutating_results_leaves_the_next_call_unchanged(self):
+        rng = random.Random(4)
+        spec = TreeSpec(3, 3)
+        for exact in (True, False):
+            phi = random_step_function(rng, spec, exact=exact)
+            g, _ = g_phi(phi, 1.5, 0.5, spec)
+            want = [exactly(tree_averages(phi, spec)), exactly(ancestor_max_averages(g, spec)),
+                    exactly(linearize(phi, spec))]
+            rows = tree_averages(phi, spec)
+            rows[-1][0] = rows[0][0] = 99.0
+            rows.pop()
+            best = ancestor_max_averages(g, spec)
+            best[0] = 99.0
+            best.append(1.0)
+            lin = linearize(phi, spec)
+            lin.averages[ROOT] = 99.0
+            lin.a_sets.clear()
+            got = [exactly(tree_averages(phi, spec)), exactly(ancestor_max_averages(g, spec)),
+                   exactly(linearize(phi, spec))]
+            assert got == want
+
+
+class TestGPhiASets:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.one_of(leaf_functions(FLOAT_VALUES), leaf_functions(EXACT_VALUES)),
+           st.sampled_from([0.5, 1.5, Fraction(7, 3), 20.0]))
+    def test_entries_are_the_a_sets_at_or_above_L(self, case, L):
+        phi, spec = case
+        _, record = g_phi(phi, L, 0.5, spec)
+        lin = linearize(fresh(phi).to_exact(), spec)
+        # the entries are the members of S_phi with a nonempty A-set and y_I >= L, in order
+        assert [e.element for e in record.entries] == [
+            el for el in lin.elements if lin.a_sets[el] and lin.averages[el] >= L]
+        vals = phi.to_exact().leaf_values(spec)
+        cell = Fraction(1, spec.n_leaves)
+        covered = []
+        for entry in record.entries:
+            leaves = lin.a_sets[entry.element]
+            covered += leaves
+            # its mass is phi's integral over exactly those leaves
+            assert entry.mass == sum(vals[i] for i in leaves) * cell
+            # and its support lies in those leaves
+            for lo, hi in entry.support:
+                i = math.floor(lo / cell)
+                assert i in leaves and hi <= (i + 1) * cell
+        assert sorted(covered) == sorted(record.excess.leaves)

@@ -73,6 +73,13 @@ class TestObjective:
         spec = TreeSpec(2, 2)
         with pytest.raises(DomainError):
             objective(StepFunction.constant(1.0), 0.0, 0.5, spec)
+        # a nan floor would drop out of max(M phi, L); the error names the constraint
+        phi = StepFunction.from_leaf_values([2, 1, 1, 0, 1, 1, 1, 1], TreeSpec(2, 3))
+        for L, q, name in ((math.nan, 0.5, "threshold L"), (math.inf, 0.5, "threshold L"),
+                           (-1.0, 0.5, "threshold L"), (1.2, math.nan, "q must lie"),
+                           (1.2, 1.5, "q must lie"), (1.2, 0.0, "q must lie")):
+            with pytest.raises(DomainError, match=name):
+                objective(phi, L, q, TreeSpec(2, 3))
 
 
 class TestEigenResidual:
