@@ -21,12 +21,12 @@ intermediate quantity bounded even for q near 0 (y stays in [1, z/(1-q) + 1]
 while z^(1/q) itself may overflow).
 
 `_bracket` is the one general bisection.  omega_q, on which every Bellman
-value and every r_k point rests, runs its own copy of `_bracket`'s loop with
-the residual written inline: a Python call per step cost more than the
-arithmetic of the step.  Its stopping rule, branches and float operations are
-`_bracket`'s, so it returns the same bits; tests/test_kernel.py checks that
-against `_bracket` driven by the plain residual.  chi_lambda and rho_interval
-call `_bracket` with residuals whose constant factors are computed once.
+value and every r_k point rests, walks `_bracket`'s midpoints with the residual
+inline, evaluating it only where a certified band around a Newton estimate of
+the root leaves its float sign open (the residual is convex).  So it returns
+`_bracket`'s bits; tests/test_kernel.py checks that against `_bracket` driven
+by the plain residual.  chi_lambda and rho_interval call `_bracket` with
+residuals whose constant factors are computed once.
 """
 
 from __future__ import annotations
@@ -92,11 +92,15 @@ def h_q(z: float, q: float) -> float:
 def omega_q(z: float, q: float) -> float:
     """omega(z) = (H^{-1}(z))^q for finite z >= 1.
 
-    Solved as the root y of (1-q) y + q y^(1 - 1/q) = z on [1, z/(1-q) + 1];
-    the upper endpoint gives (1-q) y >= z, up to a rounding that hi steps past.
-    A root past half the float range overflows the midpoint: DomainError.
-    The loop is `_bisect`'s, inlined (see the module docstring): the same
-    branches and float operations in the same order, so the same bits.
+    Solved as the root y of f(y) = (1-q) y + q y^(1 - 1/q) - z on
+    [1, z/(1-q) + 1]; the upper endpoint gives (1-q) y >= z, up to a rounding
+    that hi steps past.  A root past half the float range overflows the
+    midpoint: DomainError.  The loop takes `_bisect`'s steps, so the same bits,
+    but skips f where its float sign is certified.  On the bracket float f is
+    within E = 8u(z + 1) of f (u = 2^-53, pow within 1 ulp, |f| <= z + 1).  f is
+    convex, so if float f gives f(1), f(yl) < -tol and f(yh) > tol at 1 <= yl < yh
+    around a Newton estimate, tol = 2^-47 (z + 1) = 4E, then f < -E at midpoints
+    in [1, yl] and f > E at those >= yh.  Those steps count toward _BISECT_MAX_ITER.
     """
     _check_q(q)
     if not (1.0 < z < math.inf):
@@ -117,7 +121,31 @@ def omega_q(z: float, q: float) -> float:
     elif fhi == 0.0:
         lo = hi
     else:
-        for _ in range(_BISECT_MAX_ITER):
+        n = 0  # leading steps the certified band decides
+        tol = 2.0**-47 * (z + 1.0)
+        # the root of f's quadratic model at y = 1 lies left of f's, as f''' < 0
+        y = min(hi, 1.0 + math.sqrt(2.0 * q * (z - 1.0) / a)) if flo < -tol else 1.0
+        for _ in range(8 if y > 1.0 else 0):  # Newton; unconverged: plain bisection
+            p = y**e
+            d = a - a * p / y
+            step = (a * y + q * p - z) / d
+            y -= step
+            if abs(step) <= 2.0**-40 * y:
+                w = 2.0 * tol / d + 2.0 * abs(step)
+                yl, yh = max(1.0, y - w), y + w
+                if yl < yh and a * yl + q * yl**e - z < -tol and a * yh + q * yh**e - z > tol:
+                    for n in range(_BISECT_MAX_ITER):
+                        mid = 0.5 * (lo + hi)
+                        if mid <= yl:
+                            lo = mid
+                        elif mid >= yh:
+                            hi = mid
+                        else:
+                            break
+                    else:
+                        n = _BISECT_MAX_ITER
+                break
+        for _ in range(n, _BISECT_MAX_ITER):
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break

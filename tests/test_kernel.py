@@ -181,6 +181,20 @@ class TestK0:
         kk = k0(1.5625, 1.2, 0.5)
         assert chi_lambda(1.5625, kk, 0.5) == pytest.approx(1.2, abs=1e-8)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(q=st.floats(0.1, 1.0 - 1e-3), lam_gap=st.floats(0.01, 1.0),
+           mu_gap=st.floats(0.01, 2.0))
+    def test_both_identities(self, q, lam_gap, mu_gap):
+        """sigma_q(k0, mu) = lam and chi_lambda(lam, k0) = mu for q >= 0.1.
+
+        Below q = 0.1 they fail: ROADMAP item 8's known fault, reproduced by
+        the FOUND lines on k0 and chi_lambda in CHANGES.md.
+        """
+        lam, mu = 1.0 + lam_gap, 1.0 + mu_gap
+        kk = k0(lam, mu, q)
+        assert sigma_q(kk, mu, q) == pytest.approx(lam, rel=1e-8)
+        assert chi_lambda(lam, kk, q) == pytest.approx(mu, rel=1e-8)
+
     def test_matches_bisection_root_in_k(self):
         # independent recovery of k0: solve sigma_q(k, mu) = lam in k by bisection
         for (lam, mu, q) in [(1.25, 1.2, 0.5), (2.0, 1.5, 0.3), (1.7, 1.1, 0.8)]:
@@ -478,7 +492,13 @@ def _ref_omega_q(z, q):
     def resid(y):
         return (1.0 - q) * y + q * y ** (1.0 - 1.0 / q) - z
 
-    return kernel._bisect(resid, 1.0, z / (1.0 - q) + 1.0)
+    hi = z / (1.0 - q) + 1.0
+    while resid(hi) < 0.0:  # omega_q's step past the rounding of (1-q) hi, z > 1e15
+        hi = math.nextafter(hi, math.inf)
+    root = kernel._bisect(resid, 1.0, hi)
+    if root == math.inf:
+        raise DomainError("root past half the float range")
+    return root
 
 
 def _ref_chi_lambda(lam, k, q):
@@ -517,13 +537,46 @@ def _bits(fn, *args):
 class TestSpecializedRootsBits:
     """omega_q's inline loop and the flat residuals of chi_lambda and
     rho_interval return the bits of kernel._bracket on the plain residuals,
-    over the CLI's q range."""
+    over the CLI's q range and, for omega_q, past it.
+
+    omega_q skips the midpoints whose float sign a certified band around a
+    Newton estimate decides, so its draws reach z - 1 = 1e-16, where the root
+    nears the double root at y = 1, z up to 1e300, past the 1e15 regime where
+    hi steps past a rounding and into the overflow DomainError, and q within
+    1e-3 of either end.  The fixed cases are arguments at which bands without
+    the margin (tol = 0, half-width the last Newton step) have returned other
+    bits.
+    chi_lambda keeps plain bisection: its residual has no proven convexity or
+    monotonicity, so no band can be certified.  rho_interval's residuals are
+    monotone on each half, so the same argument could serve them."""
 
     @staticmethod
     def omega_draws():
         rng = random.Random(20261019)
         return [(1.0 + 10.0 ** rng.uniform(-12.0, 12.0), rng.uniform(1e-3, 1.0 - 1e-3))
                 for _ in range(10_000)]
+
+    MARGINLESS_BAND_MISSES = [
+        (1.000000891128573, 0.9370784015773348),
+        (1.8768707299970968, 0.9227377436281293),
+        (1.0002405093658449, 0.9768411548914219),
+        (1.0007573651647548, 0.05473568368787298),
+    ]
+
+    @staticmethod
+    def wide_omega_draws():
+        rng = random.Random(27)
+
+        def q_end():
+            gap = 10.0 ** rng.uniform(-12.0, -3.0)
+            return gap if rng.random() < 0.5 else 1.0 - gap
+
+        near_one = [(max(1.0 + 10.0 ** rng.uniform(-16.0, 0.0), math.nextafter(1.0, 2.0)),
+                     rng.uniform(1e-3, 1.0 - 1e-3)) for _ in range(8_000)]
+        large = [(10.0 ** rng.uniform(0.0, 300.0), rng.uniform(1e-3, 1.0 - 1e-3))
+                 for _ in range(3_000)]
+        q_ends = [(1.0 + 10.0 ** rng.uniform(-16.0, 300.0), q_end()) for _ in range(3_000)]
+        return near_one + large + q_ends
 
     @staticmethod
     def kqfh_draws():
@@ -542,6 +595,15 @@ class TestSpecializedRootsBits:
         draws = self.omega_draws()
         got = [_bits(omega_q, z, q) for z, q in draws]
         assert got == [_bits(_ref_omega_q, z, q) for z, q in draws]
+
+    def test_omega_q_wide(self):
+        draws = self.MARGINLESS_BAND_MISSES + self.wide_omega_draws()
+        got = [_bits(omega_q, z, q) for z, q in draws]
+        assert got == [_bits(_ref_omega_q, z, q) for z, q in draws]
+        # the draws reach the stepped upper end and the overflow
+        his = [(z / (1.0 - q) + 1.0, z, q) for z, q in draws]
+        assert any((1.0 - q) * hi + q * hi ** (1.0 - 1.0 / q) < z for hi, z, q in his)
+        assert got.count("DomainError") > 0
 
     def test_chi_lambda(self):
         draws = self.kqfh_draws()
