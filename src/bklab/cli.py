@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage, 2 domain error, 3 convergence failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from .dyadic import StepFunction, TreeSpec, linearize, maximal_function
-from .errors import BklabError, ConvergenceError, DomainError
+from .errors import BklabError, ComplexityGuardError, ConvergenceError, DomainError
 from .kernel import BellmanParams
 from .search import brute_force_oracle, convergence_study, local_search, study_to_csv
 from .transforms import eigen_residual, g_phi, gap_rows_to_csv, verify_suite
@@ -77,7 +78,7 @@ _REQUIRED = object()
 _PARAMS = {"q": _REQUIRED, "f": _REQUIRED, "h": _REQUIRED, "L": _REQUIRED}
 _SEARCH = {"seed": 0, "budget": 20000, "restarts": 16}
 
-_MAX_INFER_DEPTH = 24
+_MAX_PHI_LEAVES = 2**24  # the most leaves of a --phi tree, at an inferred or a given depth
 
 
 class UsageError(Exception):
@@ -175,7 +176,7 @@ def _from_config(cfg, name):
 
 def _load_phi(path, given_depth):
     """The step function in a JSON file and its tree: the given depth, or
-    else the shallowest leaf grid the function aligns with."""
+    else the shallowest leaf grid the function aligns with; at most 2^24 leaves."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -183,17 +184,15 @@ def _load_phi(path, given_depth):
             raise UsageError(f"{path}: not valid JSON ({exc})") from None
     phi, m = StepFunction.from_json_obj(obj)
     given = given_depth is not None
-    for depth in (given_depth,) if given else range(1, _MAX_INFER_DEPTH + 1):
+    for depth in (given_depth,) if given else itertools.count(1):
+        if depth > 24 or m**depth > _MAX_PHI_LEAVES:  # m >= 2: past depth 24, past 2^24 leaves
+            raise ComplexityGuardError(
+                f"the depth {depth} tree has more than 2^24 leaves" if given else
+                f"no leaf grid up to depth {depth - 1} aligns with the function")
         spec = TreeSpec(m, depth)
         if phi.is_leaf_aligned(spec):
             return phi, spec
-    if given:
-        raise DomainError(
-            f"function is not aligned with the depth {given_depth} leaf grid"
-        )
-    raise DomainError(
-        f"no leaf grid up to depth {_MAX_INFER_DEPTH} aligns with the function"
-    )
+    raise DomainError(f"function is not aligned with the depth {given_depth} leaf grid")
 
 
 # -- subcommand handlers ------------------------------------------------

@@ -16,10 +16,12 @@ the representation M phi = sum y_I 1_{A(phi, I)}.
 
 Every tree evaluator reads one tree per function and spec, built by ``_tree``
 on first request and kept as long as the function lives: the levels
-(``_levels``: every average from its m children, in index order) and their
+(``_levels``: every average from its m children, in index order), their
 running max (``_running_max``: per leaf, the largest ancestor average and the
-shallowest depth attaining it), (m^(N+1) - 1)/(m - 1) + 2 m^N numbers in all.
-So M phi, the A-sets, the excess set and the inequality gaps agree to the bit.
+shallowest depth attaining it) and, from those depths, the leaves grouped by
+A-set (``_a_sets``), (m^(N+1) - 1)/(m - 1) + 2 m^N numbers in all.  So M phi,
+the A-sets, the excess set and the inequality gaps, which read S_phi from the
+tree, agree to the bit.
 The search's vectorized ``leaf_maximal`` runs the same float arithmetic in
 NumPy, so it gives maximal_function's float leaf values bit for bit as well:
 for m = 2^k it multiplies by 2^-k, which rounds as the divide by m does, and
@@ -351,19 +353,30 @@ class StepFunction:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> tuple["StepFunction", int]:
-        """Inverse of to_json_obj; any malformed document raises DomainError."""
+        """Inverse of to_json_obj; any malformed document raises DomainError.
+
+        m, num, den and den_pow are JSON integers, den_pow in [0, 512] as to_json_obj writes it."""
+        def integer(obj: dict, key: str) -> int:
+            x = obj[key]
+            if type(x) is not int:  # a float or a bool is refused, not rounded
+                raise ValueError(f"{key} must be a JSON integer, got {type(x).__name__}")
+            return x
+
         def endpoint(e) -> Fraction:
-            return Fraction(int(e["num"]), m ** int(e["den_pow"]))
+            p = integer(e, "den_pow")
+            if not 0 <= p <= 512:
+                raise ValueError(f"den_pow must be in [0, 512], got {p}")
+            return Fraction(integer(e, "num"), m**p)
 
         try:
-            m = int(obj["m"])
+            m = integer(obj, "m")
             if m < 2:
                 raise DomainError(f"branching factor must be >= 2, got {m}")
             pieces = []
             for p in obj["pieces"]:
                 v = p["value"]
                 if isinstance(v, dict):
-                    v = Fraction(int(v["num"]), int(v["den"]))
+                    v = Fraction(integer(v, "num"), integer(v, "den"))
                 pieces.append((endpoint(p["start"]), endpoint(p["end"]), v))
             return cls.from_pieces(pieces), m
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -419,8 +432,9 @@ def _running_max(levels: list[list], m: int) -> tuple[list, list[int]]:
     return best, depth
 
 
-# phi's tree at one spec: _levels and their scale, _running_max's per-leaf max and depth
-_Tree = namedtuple("_Tree", "levels scale best depths")
+# phi's tree at one spec: _levels and their scale, _running_max's per-leaf max, and the
+# leaves grouped by A-set, from _running_max's per-leaf depth
+_Tree = namedtuple("_Tree", "levels scale best groups")
 
 
 def _tree(phi: StepFunction, spec: TreeSpec) -> _Tree:
@@ -443,7 +457,8 @@ def _tree(phi: StepFunction, spec: TreeSpec) -> _Tree:
         scale = math.lcm(*(v.denominator for v in phi.values)) * spec.n_leaves
         levels = _levels([v.numerator * (scale // v.denominator)
                           for v in phi.leaf_values(spec)], spec.m)
-    tree = phi._trees[spec] = _Tree(levels, scale, *_running_max(levels, spec.m))
+    best, depths = _running_max(levels, spec.m)
+    tree = phi._trees[spec] = _Tree(levels, scale, best, _a_sets(depths, spec))
     return tree
 
 
@@ -505,11 +520,10 @@ class Linearization:
 
 def linearize(phi: StepFunction, spec: TreeSpec) -> Linearization:
     """Distinguished family of phi by the shallowest-attaining-ancestor rule."""
-    levels, scale, _, depths = _tree(phi, spec)
+    levels, scale, _, groups = _tree(phi, spec)
     m = spec.m
-    # the A-sets, star walk and ordering work on (depth, index) keys; one
-    # TreeElement is built per member of S_phi, not per leaf
-    groups = _a_sets(depths, spec)
+    # the star walk and ordering work on the (depth, index) keys of the A-sets;
+    # one TreeElement is built per member of S_phi, not per leaf
     elements = {key: TreeElement(*key) for key in sorted(groups)}
 
     star: dict[TreeElement, TreeElement | None] = {}
@@ -643,17 +657,13 @@ class InequalityGap:
 def weak_type_gap(phi: StepFunction, lam: float, spec: TreeSpec) -> InequalityGap:
     """mu({M phi > lam}) <= (1/lam) integral of phi over {M phi > lam}."""
     t = _tree(phi, spec)
-    return _weak_type_slack(t.best, _unscale_floats(t.levels[-1], t.scale), lam, spec, t.scale)
-
-
-def _weak_type_slack(mvals, leaf_vals, lam, spec: TreeSpec, scale=None) -> InequalityGap:
-    """weak_type_gap from the leaf values of M phi, on scale if given, and of phi as floats."""
     if not 0 < lam < math.inf:
         raise DomainError(f"weak-type level must be finite and positive, got {lam}")
     # an integer v on scale has v / scale > lam iff v > floor(lam scale), exactly
-    bar = lam if scale is None else math.floor(Fraction(lam) * scale)
+    bar = lam if t.scale is None else math.floor(Fraction(lam) * t.scale)
+    leaf_vals = _unscale_floats(t.levels[-1], t.scale)
     w = float(spec.leaf_measure)
-    idx = [i for i in range(spec.n_leaves) if mvals[i] > bar]
+    idx = [i for i in range(spec.n_leaves) if t.best[i] > bar]
     rhs = _sum_in_order(leaf_vals[i] for i in idx) * w / float(lam)
     return InequalityGap(beta=lam, lhs=w * len(idx), rhs=rhs)
 
@@ -661,16 +671,12 @@ def _weak_type_slack(mvals, leaf_vals, lam, spec: TreeSpec, scale=None) -> Inequ
 def kolmogorov_gap(phi: StepFunction, q: float, leaves, spec: TreeSpec) -> InequalityGap:
     """integral_E (M phi)^q <= (1-q)^-1 mu(E)^(1-q) ||phi||_1^q for any leaf union E."""
     t = _tree(phi, spec)
-    return _kolmogorov_slack(_unscale_floats(t.best, t.scale),
-                             _unscale_floats(t.levels[0], t.scale)[0], q, leaves, spec)
-
-
-def _kolmogorov_slack(mvals, norm1: float, q: float, leaves, spec: TreeSpec) -> InequalityGap:
-    """kolmogorov_gap from the float leaf values of M phi and norm1 = ||phi||_1, a root average."""
     _check_q(q)
     leaves = sorted(set(leaves))
     if leaves and not (0 <= leaves[0] and leaves[-1] < spec.n_leaves):
         raise DomainError("leaf indices out of range")
+    mvals = _unscale_floats(t.best, t.scale)
+    norm1 = _unscale_floats(t.levels[0], t.scale)[0]  # ||phi||_1 is the root average
     w = float(spec.leaf_measure)
     lhs = _sum_in_order(mvals[i] ** q for i in leaves) * w
     mu_e = w * len(leaves)

@@ -901,13 +901,10 @@ def convergence_study(params: BellmanParams, depths, seed: int = 0,
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise DomainError("depths must be strictly ascending")
     reports: list[SearchReport] = []
-    prev_vals = None
-    prev_depth = None
     for depth in depths:
         spec = TreeSpec(m, depth)
-        extra = None
-        if prev_vals is not None:
-            extra = [np.repeat(prev_vals, m ** (depth - prev_depth))]
+        # the coarser optimum is aligned to every finer grid: its leaf values there repeat
+        extra = [reports[-1].best_phi.leaf_values(spec)] if reports else None
         rep = local_search(params, spec, seed=seed, budget=budget,
                            restarts=restarts, extra_seeds=extra)
         for name in ("gap", "residual") if reports else ():
@@ -916,6 +913,4 @@ def convergence_study(params: BellmanParams, depths, seed: int = 0,
                 raise ConvergenceError(f"{name} rose from {old} at depth "
                                        f"{reports[-1].depth} to {new} at depth {depth}")
         reports.append(rep)
-        prev_vals = np.array([float(v) for v in rep.best_phi.leaf_values(spec)])
-        prev_depth = depth
     return reports

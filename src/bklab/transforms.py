@@ -31,23 +31,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import (
-    ROOT,
     ExcessSet,
     InequalityGap,
     Linearization,
     StepFunction,
     TreeElement,
     TreeSpec,
-    _a_sets,
-    _kolmogorov_slack,
     _levels,
     _running_max,
     _sum_in_order,
     _tree,
+    _unscale,
     _unscale_floats,
-    _weak_type_slack,
     excess_set,
+    kolmogorov_gap,
     linearize,
+    weak_type_gap,
 )
 from .errors import (
     DomainError,
@@ -109,8 +108,8 @@ def eigen_residual(phi: StepFunction, params: BellmanParams, spec: TreeSpec) -> 
 # -- gap evaluators -----------------------------------------------------
 
 
-def _family_leaves(family, lin: Linearization, spec: TreeSpec, *, maximal: bool) -> set[int]:
-    """Validate a family against S_phi and return the union of its leaves.
+def _family_leaves(family, members, spec: TreeSpec, *, maximal: bool) -> set[int]:
+    """Check a family against S_phi, its (depth, index) keys in members; return the leaf union.
 
     Tree elements overlap exactly when one contains the other, so disjointness
     and comparability both reduce to tests on the leaves covered so far.
@@ -120,7 +119,7 @@ def _family_leaves(family, lin: Linearization, spec: TreeSpec, *, maximal: bool)
         raise DomainError("family must contain at least one element")
     spans = []
     for el in family:
-        if el not in lin.averages:
+        if (el.depth, el.index) not in members:
             raise FamilyNotInSPhiError(f"{el} is not in S_phi")
         spans.append(el.leaf_range(spec))
     covered = bytearray(spec.n_leaves)
@@ -129,11 +128,11 @@ def _family_leaves(family, lin: Linearization, spec: TreeSpec, *, maximal: bool)
             raise DomainError("family elements are not pairwise disjoint")
         covered[r.start:r.stop] = b"\1" * len(r)
     if maximal:
-        for el in lin.elements:
-            r = el.leaf_range(spec)
-            if covered.find(1, r.start, r.stop) < 0:
+        for d, j in sorted(members):
+            width = spec.m ** (spec.depth - d)
+            if covered.find(1, j * width, (j + 1) * width) < 0:
                 raise FamilyNotMaximalError(
-                    f"{el} in S_phi is comparable with no family member"
+                    f"{TreeElement(d, j)} in S_phi is comparable with no family member"
                 )
     leaves: set[int] = set()
     for r in spans:
@@ -176,12 +175,12 @@ _GAP_KINDS = {
 }
 
 
-def _gap_sweep(kind, phi, spec, q, family, betas, lin=None):
+def _gap_sweep(kind, phi, spec, q, family, betas):
     """lhs and the rhs at each beta for one evaluator kind and one family.
 
     lhs does not depend on beta, and everything in the rhs but its final
-    formula is computed once.  A caller that already holds lin passes it.
-    ||phi||_1 is the root average, so a root-only family has e = 0 exactly.
+    formula is computed once, from the tree of phi: S_phi, y_I and ||phi||_1,
+    the root average (so a root-only family has e = 0 exactly).
     """
     for beta in betas:
         if beta <= 0:
@@ -190,14 +189,14 @@ def _gap_sweep(kind, phi, spec, q, family, betas, lin=None):
     maximal, complement = _GAP_KINDS[kind]
     family = tuple(family)
     t = _tree(phi, spec)
-    lin = lin if lin is not None else linearize(phi, spec)
-    union = _family_leaves(family, lin, spec, maximal=maximal)
+    union = _family_leaves(family, t.groups, spec, maximal=maximal)
     mvals, lvals = _unscale_floats(t.best, t.scale), _unscale_floats(t.levels[-1], t.scale)
-    m, w = spec.m, float(spec.leaf_measure)
-    e1 = _sum_in_order(1 / m**el.depth * float(lin.averages[el]) ** q for el in family)
+    m, w, levels, scale = spec.m, float(spec.leaf_measure), t.levels, t.scale
+    e1 = _sum_in_order(1 / m**el.depth * float(_unscale(levels[el.depth][el.index], scale)) ** q
+                       for el in family)
     if complement:
         region = [i for i in range(spec.n_leaves) if i not in union]
-        e = float(lin.averages[ROOT]) ** q - e1
+        e = float(_unscale(levels[0][0], scale)) ** q - e1
     else:
         region, e = union, e1
     lhs = _sum_in_order(mvals[i] ** q for i in region) * w
@@ -205,28 +204,25 @@ def _gap_sweep(kind, phi, spec, q, family, betas, lin=None):
     return lhs, [((beta + 1.0) * e - (beta + 1.0) ** q * s) / ((1.0 - q) * beta) for beta in betas]
 
 
-def theorem41_gap(phi, spec: TreeSpec, q: float, family, beta: float,
-                  lin: Linearization | None = None) -> InequalityGap:
+def theorem41_gap(phi, spec: TreeSpec, q: float, family, beta: float) -> InequalityGap:
     """Gap over the complement of a maximal disjoint family in S_phi.
 
     lhs = integral of (M phi)^q off the union; rhs uses the family averages
     and the q-mass of phi off the union.
     """
-    lhs, (rhs,) = _gap_sweep("theorem41", phi, spec, q, family, [beta], lin)
+    lhs, (rhs,) = _gap_sweep("theorem41", phi, spec, q, family, [beta])
     return InequalityGap(beta=beta, lhs=lhs, rhs=rhs)
 
 
-def theorem42_gap(phi, spec: TreeSpec, q: float, family, beta: float,
-                  lin: Linearization | None = None) -> InequalityGap:
+def theorem42_gap(phi, spec: TreeSpec, q: float, family, beta: float) -> InequalityGap:
     """Gap over the union of a disjoint family in S_phi (no maximality needed)."""
-    lhs, (rhs,) = _gap_sweep("theorem42", phi, spec, q, family, [beta], lin)
+    lhs, (rhs,) = _gap_sweep("theorem42", phi, spec, q, family, [beta])
     return InequalityGap(beta=beta, lhs=lhs, rhs=rhs)
 
 
-def corollary41_gap(phi, spec: TreeSpec, q: float, family, beta: float,
-                    lin: Linearization | None = None) -> InequalityGap:
+def corollary41_gap(phi, spec: TreeSpec, q: float, family, beta: float) -> InequalityGap:
     """Complement-side gap for a disjoint family without the maximality demand."""
-    lhs, (rhs,) = _gap_sweep("corollary41", phi, spec, q, family, [beta], lin)
+    lhs, (rhs,) = _gap_sweep("corollary41", phi, spec, q, family, [beta])
     return InequalityGap(beta=beta, lhs=lhs, rhs=rhs)
 
 
@@ -311,7 +307,7 @@ def g_phi(phi: StepFunction, L, q: float, spec: TreeSpec,
 
     entries: list[GPhiEntry] = []
     cut: dict[int, tuple[Fraction, int]] = {}  # excess leaf -> (c, support length)
-    for (d, j), idxs in sorted(_a_sets(t.depths, spec).items()):
+    for (d, j), idxs in sorted(t.groups.items()):
         if not idxs or idxs[0] not in excess:
             continue
         el = TreeElement(d, j)
@@ -464,20 +460,17 @@ def verify_suite(n_phi: int, spec: TreeSpec, q: float, *, n_beta: int = 50,
         lin = linearize(phi, spec)
         fam_max = random_maximal_family(lin, spec, rng)
         fam_dis = random_disjoint_family(lin, spec, rng)
-        t = _tree(phi, spec)
-        mvals, lvals = _unscale_floats(t.best, t.scale), _unscale_floats(t.levels[-1], t.scale)
-        norm1 = float(lin.averages[ROOT])
         for kind, (maximal, _) in _GAP_KINDS.items():
             fam, label = (fam_max, "maximal") if maximal else (fam_dis, "disjoint")
-            lhs, rhss = _gap_sweep(kind, phi, spec, q, fam, betas, lin)
+            lhs, rhss = _gap_sweep(kind, phi, spec, q, fam, betas)
             batches.append((pid, kind, f"{kind}:{label}", betas, [lhs] * n_beta, rhss))
         top = float(max(lin.averages.values(), default=0.0)) or 1.0
         lams = [top * math.exp(rng.uniform(math.log(1e-3), math.log(1.2))) for _ in range(5)]
-        weak = [_weak_type_slack(mvals, lvals, lam, spec) for lam in lams]
+        weak = [weak_type_gap(phi, lam, spec) for lam in lams]
         unions = [list(range(spec.n_leaves))]
         for _ in range(2):
             unions.append([i for i in range(spec.n_leaves) if rng.random() < 0.5])
-        kolm = [_kolmogorov_slack(mvals, norm1, q, leaves, spec) for leaves in unions]
+        kolm = [kolmogorov_gap(phi, q, leaves, spec) for leaves in unions]
         for kind, label, gaps in (("weak_type", "weak_type:level", weak),
                                   ("kolmogorov", "kolmogorov:union", kolm)):
             batches.append((pid, kind, label, *zip(*((g.beta, g.lhs, g.rhs) for g in gaps))))

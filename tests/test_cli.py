@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,11 @@ from bklab.errors import DomainError
 from bklab.kernel import BellmanParams
 from bklab.search import convergence_study, local_search
 from bklab.transforms import GAP_CSV_HEADER
+
+
+def one_piece(m, end):
+    """A --phi document with one piece, from 0 to the given endpoint, of value 1."""
+    return {"m": m, "pieces": [{"start": {"num": 0, "den_pow": 0}, "end": end, "value": 1.0}]}
 
 
 def run_cli(capsys, *argv):
@@ -227,21 +233,29 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "maximal", "--phi", str(path))
         assert code == 1
 
-    @pytest.mark.parametrize("doc", [
-        pytest.param({}, id="empty-object"),
-        pytest.param([1, 2], id="list"),
+    @pytest.mark.parametrize("doc, argv", [
+        pytest.param({}, (), id="empty-object"),
+        pytest.param([1, 2], (), id="list"),
         pytest.param({"m": 2, "pieces": [{"start": {"num": 0, "den_pow": 0},
-                                          "end": {"num": 1, "den_pow": 0}}]},
+                                          "end": {"num": 1, "den_pow": 0}}]}, (),
                      id="piece-without-value"),
         pytest.param({"m": 0, "pieces": [{"start": {"num": 0, "den_pow": 1},
                                           "end": {"num": 1, "den_pow": 1},
-                                          "value": 1.0}]},
+                                          "value": 1.0}]}, (),
                      id="m-0"),
+        # each once crashed, was misread or stalled: m^N leaves past 2^24, a
+        # float den_pow rounded down, m^den_pow computed for any den_pow
+        pytest.param(one_piece(10**30, {"num": 1, "den_pow": 0}), (), id="m-1e30"),
+        pytest.param(one_piece(2, {"num": 4, "den_pow": 2.5}), (), id="den-pow-2.5"),
+        pytest.param(one_piece(2, {"num": 1, "den_pow": 10**9}), (), id="den-pow-1e9"),
+        pytest.param(one_piece(2, {"num": 1, "den_pow": 0}), ("--N", "40"), id="N-40"),
     ])
-    def test_domain_error_malformed_phi_document(self, capsys, tmp_path, doc):
+    def test_domain_error_malformed_phi_document(self, capsys, tmp_path, doc, argv):
         path = tmp_path / "phi.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run_cli(capsys, "maximal", "--phi", str(path))
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "maximal", "--phi", str(path), *argv)
+        assert time.perf_counter() - start < 1.0
         assert code == 2
         assert err.startswith("domain error:")
 

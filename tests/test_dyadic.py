@@ -777,28 +777,36 @@ def fresh(phi):
 class TestTreeOncePerSpec:
     @pytest.fixture
     def passes(self, monkeypatch):
-        """Levels passes made so far, by the m of each pass."""
-        made = []
-        levels = dyadic._levels
+        """Passes made so far: levels passes by their m, A-set groupings by their spec."""
+        made = {"levels": [], "groups": []}
+        levels, a_sets = dyadic._levels, dyadic._a_sets
 
         def counted(leaves, m):
-            made.append(m)
+            made["levels"].append(m)
             return levels(leaves, m)
+
+        def grouped(depths, spec):
+            made["groups"].append(spec)
+            return a_sets(depths, spec)
 
         monkeypatch.setattr(dyadic, "_levels", counted)
         monkeypatch.setattr(transforms, "_levels", counted)
+        monkeypatch.setattr(dyadic, "_a_sets", grouped)
         return made
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_one_levels_pass_per_spec(self, passes, exact):
         # the 16 leaves of (2, 4) are the leaves of (4, 2): one function, two trees
         phi = random_step_function(random.Random(3), TreeSpec(2, 4), exact=exact)
-        passes.clear()
+        for made in passes.values():
+            made.clear()
         for spec in (TreeSpec(2, 4), TreeSpec(4, 2), TreeSpec(2, 4)):
             for name, call in EVALUATORS.items():
                 if exact or name != "g_phi":
                     call(phi, spec)
-        assert passes == [2, 4]
+        assert passes["levels"] == [2, 4]
+        # linearize, g_phi and the gap evaluators read the A-sets the tree holds
+        assert passes["groups"] == [TreeSpec(2, 4), TreeSpec(4, 2)]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.one_of(leaf_functions(FLOAT_VALUES), leaf_functions(EXACT_VALUES)))

@@ -172,7 +172,8 @@ class TestEvaluatorBits:
     def test_gap_evaluators_pinned(self):
         # recorded while each evaluator built one InequalityGap per beta and
         # checked its family pair by pair, and re-recorded when ||phi||_1 became
-        # the root average; lin given and rebuilt, exact and float phi
+        # the root average; each evaluator called twice (the second call reads
+        # the kept tree), exact and float phi
         digest = hashlib.sha256()
         rng = random.Random(65)
         for (m, depth), q in (((2, 5), 0.5), ((3, 3), 0.3), ((4, 3), 0.7)):
@@ -187,8 +188,8 @@ class TestEvaluatorBits:
                     for fn, fam in ((theorem41_gap, fam_max), (theorem42_gap, fam_max),
                                     (theorem42_gap, fam_dis), (corollary41_gap, fam_dis),
                                     (corollary41_gap, fam_max)):
-                        for held in (None, lin):
-                            gap = fn(phi, spec, q, fam, beta, lin=held)
+                        for _ in range(2):
+                            gap = fn(phi, spec, q, fam, beta)
                             digest.update(f"{gap.beta.hex()} {gap.lhs.hex()} {gap.rhs.hex()}\n"
                                           .encode())
         assert digest.hexdigest() == (
@@ -200,17 +201,16 @@ class TestFamilyValidation:
         self.spec = TreeSpec(2, 2)
         self.phi = StepFunction.from_leaf_values(
             [Fraction(4), Fraction(0), Fraction(1), Fraction(1)], self.spec)
-        self.lin = linearize(self.phi, self.spec)
         # S_phi = {root, (1,0), (2,0)}
 
     def test_not_in_s_phi(self):
         with pytest.raises(FamilyNotInSPhiError):
-            theorem42_gap(self.phi, self.spec, 0.5, [TreeElement(2, 3)], 1.0, lin=self.lin)
+            theorem42_gap(self.phi, self.spec, 0.5, [TreeElement(2, 3)], 1.0)
 
     def test_not_disjoint(self):
         fam = [ROOT, TreeElement(1, 0)]
         with pytest.raises(DomainError):
-            theorem42_gap(self.phi, self.spec, 0.5, fam, 1.0, lin=self.lin)
+            theorem42_gap(self.phi, self.spec, 0.5, fam, 1.0)
 
     def test_not_maximal(self):
         # (2,0) alone misses (1,0)? no: (1,0) contains (2,0).  Use (1,0) alone:
@@ -223,17 +223,17 @@ class TestFamilyValidation:
         assert TreeElement(2, 2) in lin.elements
         assert TreeElement(2, 0) in lin.elements
         with pytest.raises(FamilyNotMaximalError):
-            theorem41_gap(phi, spec, 0.5, [TreeElement(2, 0)], 1.0, lin=lin)
+            theorem41_gap(phi, spec, 0.5, [TreeElement(2, 0)], 1.0)
 
     def test_empty_family(self):
         with pytest.raises(DomainError):
-            theorem42_gap(self.phi, self.spec, 0.5, [], 1.0, lin=self.lin)
+            theorem42_gap(self.phi, self.spec, 0.5, [], 1.0)
 
     def test_bad_beta(self):
         with pytest.raises(DomainError):
-            theorem42_gap(self.phi, self.spec, 0.5, [ROOT], 0.0, lin=self.lin)
+            theorem42_gap(self.phi, self.spec, 0.5, [ROOT], 0.0)
         with pytest.raises(DomainError):
-            theorem41_gap(self.phi, self.spec, 0.5, [ROOT], -1.0, lin=self.lin)
+            theorem41_gap(self.phi, self.spec, 0.5, [ROOT], -1.0)
 
 
 def pairwise_family_leaves(family, lin, spec, *, maximal):
@@ -305,7 +305,8 @@ class TestFamilyHelpers:
     @given(functions_and_families(), st.booleans())
     def test_family_leaves_match_pairwise_reference(self, case, maximal):
         spec, lin, family = case
-        got = outcome(_family_leaves, family, lin, spec, maximal=maximal)
+        members = {(el.depth, el.index) for el in lin.elements}
+        got = outcome(_family_leaves, family, members, spec, maximal=maximal)
         want = outcome(pairwise_family_leaves, family, lin, spec, maximal=maximal)
         assert got == want
         if isinstance(want, set):
@@ -374,9 +375,9 @@ class TestGapEvaluators:
                     fam_dis = random_disjoint_family(lin, spec, rng)
                     for beta in (10.0 ** rng.uniform(-3, 3) for _ in range(4)):
                         for gap in (
-                            theorem41_gap(phi, spec, q, fam_max, beta, lin=lin),
-                            theorem42_gap(phi, spec, q, fam_dis, beta, lin=lin),
-                            corollary41_gap(phi, spec, q, fam_dis, beta, lin=lin),
+                            theorem41_gap(phi, spec, q, fam_max, beta),
+                            theorem42_gap(phi, spec, q, fam_dis, beta),
+                            corollary41_gap(phi, spec, q, fam_dis, beta),
                         ):
                             if gap.slack < -1e-12:
                                 violations += 1
@@ -389,8 +390,8 @@ class TestGapEvaluators:
         lin = linearize(phi, spec)
         fam = random_disjoint_family(lin, spec, random.Random(8))
         for fn in (theorem42_gap, corollary41_gap):
-            want = fn(phi, spec, 0.5, fam, 2.0, lin=lin)
-            assert fn(phi, spec, 0.5, iter(fam), 2.0, lin=lin) == want
+            want = fn(phi, spec, 0.5, fam, 2.0)
+            assert fn(phi, spec, 0.5, iter(fam), 2.0) == want
 
     def test_pointwise_inequality_behind_bounds(self):
         # t + (1-q)/q >= t^q / q for t >= 0 drives every bound above
@@ -420,11 +421,11 @@ class TestGapEvaluators:
                 continue
             bstar = optimal_beta(e1, s, q)
             want_min = s * omega_q(e1 / s, q)
-            got = theorem42_gap(phi, spec, q, fam, bstar, lin=lin)
+            got = theorem42_gap(phi, spec, q, fam, bstar)
             assert got.rhs == pytest.approx(want_min, rel=1e-10)
             grid = [bstar * 10.0**t for t in (-2, -1, -0.3, 0.3, 1, 2)]
             for beta in grid:
-                other = theorem42_gap(phi, spec, q, fam, beta, lin=lin)
+                other = theorem42_gap(phi, spec, q, fam, beta)
                 assert other.rhs >= got.rhs - 1e-12
 
     def test_optimal_beta_domain(self):
@@ -454,8 +455,8 @@ class TestVerifySuite:
     @pytest.mark.parametrize("slack, violations", [(-2e-12, 5), (-1e-12, 0)])
     def test_violation_means_slack_below_minus_1e12(self, monkeypatch, slack, violations):
         # one function gets five weak-type levels, each given this slack
-        monkeypatch.setattr("bklab.transforms._weak_type_slack",
-                            lambda mvals, lvals, lam, spec: InequalityGap(lam, 0.0, slack))
+        monkeypatch.setattr("bklab.transforms.weak_type_gap",
+                            lambda phi, lam, spec: InequalityGap(lam, 0.0, slack))
         rep = verify_suite(1, TreeSpec(2, 3), 0.5, n_beta=3, seed=0)
         assert rep.n_violations == violations
         assert rep.min_slack == slack
