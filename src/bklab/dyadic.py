@@ -31,8 +31,9 @@ Exact functions are evaluated on integers.  With D the lcm of the value
 denominators, every leaf value times the scale D m^N is an integer multiple
 of m^N, so every element average times that one common scale is an integer
 as well, and the levels pass divides by m with ``//`` and no remainder.
-Fractions are built only for the values handed back to callers, floats as
-v / scale.  A float block sum past 1.8e308 raises DomainError; to_exact() has no limit.
+Fractions are built only for the values handed back to callers, one per
+distinct integer, floats as v / scale; the leaf-grid points i m^-N are shared
+(see _grid).  A float block sum past 1.8e308 raises DomainError; to_exact() has no limit.
 """
 
 from __future__ import annotations
@@ -43,12 +44,14 @@ import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Integral
 
 from .errors import DomainError, NotTGoodError
 from .kernel import _check_q
 
 Value = float | Fraction
+_SHARED_GRID = 2**12  # most leaves whose grid _grid shares: 3 ms to fill, 55 ms at 2^16
 
 
 @dataclass(frozen=True)
@@ -143,14 +146,21 @@ def _as_value(v) -> Value:
     return val
 
 
-def _unscale(v, scale: int | None) -> Value:
-    """A level value as callers see it: a float as is, an integer off its exact scale."""
-    return v if scale is None else Fraction(v, scale)
-
-
 def _unscale_floats(vals: list, scale: int | None) -> list[float]:
     """Level values as floats: float levels as they are, integers off their scale rounded once."""
     return vals if scale is None else [v / scale for v in vals]
+
+
+def _fractions(vals: list[int], scale: int) -> list[Fraction]:
+    """Fraction(v, scale) for each integer v of vals, one object per distinct v."""
+    return list(map({v: Fraction(v, scale) for v in set(vals)}.__getitem__, vals))
+
+
+@lru_cache(maxsize=8)
+def _grid(n: int):
+    """The leaf-grid point i -> Fraction(i, n): built once and shared up to _SHARED_GRID leaves."""
+    shared = n <= _SHARED_GRID and tuple(Fraction(i, n) for i in range(n + 1))
+    return shared.__getitem__ if shared else lambda i: Fraction(i, n)
 
 
 def _run_starts(values) -> list[int]:
@@ -237,8 +247,10 @@ class StepFunction:
         """One piece per run of equal, already checked leaf values (integers on scale if given)."""
         n = spec.n_leaves
         starts = _run_starts(vals)
-        return cls._trusted([Fraction(i, n) for i in starts] + [Fraction(1)],
-                            [_unscale(vals[i], scale) for i in starts])
+        firsts = [vals[i] for i in starts]
+        starts.append(n)  # past the shared grids, no per-point call through _grid's lambda
+        bps = map(_grid(n), starts) if n <= _SHARED_GRID else [Fraction(i, n) for i in starts]
+        return cls._trusted(bps, firsts if scale is None else _fractions(firsts, scale))
 
     # -- basic structure ------------------------------------------------
 
@@ -366,12 +378,13 @@ class StepFunction:
             p = integer(e, "den_pow")
             if not 0 <= p <= 512:
                 raise ValueError(f"den_pow must be in [0, 512], got {p}")
-            return Fraction(integer(e, "num"), m**p)
+            return Fraction(integer(e, "num"), power(p))
 
         try:
             m = integer(obj, "m")
             if m < 2:
                 raise DomainError(f"branching factor must be >= 2, got {m}")
+            power = lru_cache(maxsize=None)(m.__pow__)  # m**den_pow once per distinct den_pow
             pieces = []
             for p in obj["pieces"]:
                 v = p["value"]
@@ -469,7 +482,7 @@ def tree_averages(phi: StepFunction, spec: TreeSpec) -> list[list[Value]]:
     float first.  Requires leaf alignment.
     """
     t = _tree(phi, spec)
-    return [[_unscale(v, t.scale) for v in row] for row in t.levels]
+    return [list(row) if t.scale is None else _fractions(row, t.scale) for row in t.levels]
 
 
 def maximal_function(phi: StepFunction, spec: TreeSpec) -> StepFunction:
@@ -534,13 +547,13 @@ def linearize(phi: StepFunction, spec: TreeSpec) -> Linearization:
             up = elements.get((d, j))
         star[el] = up
 
-    n = spec.n_leaves
+    point, ys = _grid(spec.n_leaves), [levels[d][j] for d, j in elements]
     return Linearization(
         spec=spec,
         elements=tuple(elements.values()),
-        averages={el: _unscale(levels[d][j], scale) for (d, j), el in elements.items()},
+        averages=dict(zip(elements.values(), ys if scale is None else _fractions(ys, scale))),
         a_sets={el: tuple(groups[key]) for key, el in elements.items()},
-        weights={el: Fraction(len(groups[key]), n) for key, el in elements.items()},
+        weights={el: point(len(groups[key])) for key, el in elements.items()},
         star=star,
     )
 
@@ -621,8 +634,7 @@ def excess_set(phi: StepFunction, L, spec: TreeSpec, q: float) -> ExcessSet:
     for el in chosen:
         leaves.extend(el.leaf_range(spec))
     leaf_vals = levels[-1]
-    w = spec.leaf_measure
-    fw = float(w)
+    fw = 1 / spec.n_leaves  # rounded once: the same float as float(spec.leaf_measure)
     if scale is None:
         mass = _sum_in_order(leaf_vals[i] * fw for i in leaves)
         q_mass = _sum_in_order(leaf_vals[i] ** q * fw for i in leaves)
@@ -631,7 +643,7 @@ def excess_set(phi: StepFunction, L, spec: TreeSpec, q: float) -> ExcessSet:
         q_mass = _sum_in_order((leaf_vals[i] / scale) ** q * fw for i in leaves)
     return ExcessSet(
         elements=tuple(chosen),
-        measure=w * len(leaves),
+        measure=_grid(spec.n_leaves)(len(leaves)),
         mass=mass,
         q_mass=q_mass,
         leaves=tuple(leaves),

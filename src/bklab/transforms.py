@@ -37,11 +37,12 @@ from .dyadic import (
     StepFunction,
     TreeElement,
     TreeSpec,
+    _fractions,
+    _grid,
     _levels,
     _running_max,
     _sum_in_order,
     _tree,
-    _unscale,
     _unscale_floats,
     excess_set,
     kolmogorov_gap,
@@ -191,12 +192,12 @@ def _gap_sweep(kind, phi, spec, q, family, betas):
     t = _tree(phi, spec)
     union = _family_leaves(family, t.groups, spec, maximal=maximal)
     mvals, lvals = _unscale_floats(t.best, t.scale), _unscale_floats(t.levels[-1], t.scale)
-    m, w, levels, scale = spec.m, float(spec.leaf_measure), t.levels, t.scale
-    e1 = _sum_in_order(1 / m**el.depth * float(_unscale(levels[el.depth][el.index], scale)) ** q
-                       for el in family)
+    w = float(spec.leaf_measure)
+    ys = _unscale_floats([t.levels[el.depth][el.index] for el in family], t.scale)
+    e1 = _sum_in_order(1 / spec.m**el.depth * y ** q for el, y in zip(family, ys))
     if complement:
         region = [i for i in range(spec.n_leaves) if i not in union]
-        e = float(_unscale(levels[0][0], scale)) ** q - e1
+        e = _unscale_floats(t.levels[0], t.scale)[0] ** q - e1
     else:
         region, e = union, e1
     lhs = _sum_in_order(mvals[i] ** q for i in region) * w
@@ -303,10 +304,10 @@ def g_phi(phi: StepFunction, L, q: float, spec: TreeSpec,
     # lengths are integers in units of 1/unit, the finer of the leaf and refine grids
     unit = spec.m ** max(refine, spec.depth)
     cell = unit // n
-    fw = 1 / n
+    fw, point = 1 / n, _grid(n)
 
     entries: list[GPhiEntry] = []
-    cut: dict[int, tuple[Fraction, int]] = {}  # excess leaf -> (c, support length)
+    cut: dict[int, tuple] = {}  # excess leaf -> (c, support length, support end inside it)
     for (d, j), idxs in sorted(t.groups.items()):
         if not idxs or idxs[0] not in excess:
             continue
@@ -336,22 +337,22 @@ def g_phi(phi: StepFunction, L, q: float, spec: TreeSpec,
         for i in idxs:
             take = min(cell, remaining)
             remaining -= take
-            cut[i] = (c, take)
+            end = Fraction(i * cell + take, unit) if 0 < take < cell else None
+            cut[i] = (c, take, end)
             if take > 0:
-                support.append((Fraction(i * cell, unit), Fraction(i * cell + take, unit)))
+                support.append((point(i), point(i + 1) if end is None else end))
         entries.append(GPhiEntry(el, c, Fraction(gamma, unit), tuple(support), a, b))
 
-    # one ordered walk over the leaves: c on the support, then 0; phi elsewhere
-    starts: list[int] = []
-    values: list[Fraction] = []
-    zero = Fraction(0)
+    # one ordered walk over the leaves: c on the support, then 0; phi elsewhere, one per value
+    phi_off = {v: Fraction(v, scale) for v in {v for i, v in enumerate(leaf_vals) if i not in cut}}
+    starts, values, zero = [], [], point(0)  # g's breakpoints and values
     for i, v in enumerate(leaf_vals):
-        c, take = cut[i] if i in cut else (Fraction(v, scale), cell)
-        for start, value, length in ((i * cell, c, take), (i * cell + take, zero, cell - take)):
-            if length > 0 and (not values or value != values[-1]):
-                starts.append(start)
+        c, take, end = cut[i] if i in cut else (phi_off[v], cell, None)
+        for value, length, start in ((c, take, None), (zero, cell - take, end)):
+            if length > 0 and (not values or value is not values[-1] and value != values[-1]):
+                starts.append(point(i) if start is None else start)
                 values.append(value)
-    g = StepFunction._trusted([Fraction(s, unit) for s in starts] + [Fraction(1)], values)
+    g = StepFunction._trusted(starts + [point(n)], values)
     record = GPhiRecord(entries=tuple(entries), excess=exc, refine=refine)
     return g, record
 
@@ -361,7 +362,8 @@ def _leaf_integrals(g: StepFunction, spec: TreeSpec) -> tuple[list[int], int]:
 
     Overlaps are integer lengths in units of 1/unit, unit the lcm of m^N and
     the breakpoint denominators.  The integrals are integers on the scale
-    D unit, D the lcm of the value denominators of g made exact.
+    D unit, D the lcm of the value denominators of g made exact.  A piece of
+    value v adds v cell, computed once, to each leaf it meets, less its two overhangs.
     """
     g = g.to_exact()
     n = spec.n_leaves
@@ -372,17 +374,18 @@ def _leaf_integrals(g: StepFunction, spec: TreeSpec) -> tuple[list[int], int]:
     coefs = [v.numerator * (den // v.denominator) for v in g.values]
     out = [0] * n
     for v, a, b in zip(coefs, ends, ends[1:]):
-        # leaves a // cell .. ceil(b / cell) - 1 meet [a, b) in positive length
-        for i in range(a // cell, -(-b // cell)):
-            length = min(b, (i + 1) * cell) - max(a, i * cell)
-            out[i] += v * length
+        first, last, whole = a // cell, (b - 1) // cell, v * cell
+        for i in range(first, last + 1):
+            out[i] += whole
+        out[first] -= v * (a - first * cell)
+        out[last] -= v * ((last + 1) * cell - b)
     return out, den * unit
 
 
 def leaf_integrals(g: StepFunction, spec: TreeSpec) -> list:
     """Integral of g over each depth-N leaf; Fractions for exact g, else rounded once."""
     out, scale = _leaf_integrals(g, spec)
-    return [Fraction(v, scale) for v in out] if g.is_exact else _unscale_floats(out, scale)
+    return _fractions(out, scale) if g.is_exact else _unscale_floats(out, scale)
 
 
 def ancestor_max_averages(g: StepFunction, spec: TreeSpec) -> list:
@@ -396,7 +399,7 @@ def ancestor_max_averages(g: StepFunction, spec: TreeSpec) -> list:
     out, scale = _leaf_integrals(g, spec)
     n = spec.n_leaves
     best = _running_max(_levels([v * n for v in out], spec.m), spec.m)[0]
-    return [Fraction(v, scale) for v in best] if g.is_exact else _unscale_floats(best, scale)
+    return _fractions(best, scale) if g.is_exact else _unscale_floats(best, scale)
 
 
 # -- randomized verification harness ------------------------------------

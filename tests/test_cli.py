@@ -259,6 +259,20 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("domain error:")
 
+    def test_each_den_pow_power_computed_once(self, capsys, tmp_path):
+        # 100 pieces at den_pow 512 under a 301-digit m: with m**512 computed per
+        # endpoint this took 1.9 s on a 2-vCPU x86 machine, once per den_pow 0.08 s
+        ends = [{"num": i, "den_pow": 512} for i in range(100)] + [{"num": 1, "den_pow": 0}]
+        doc = {"m": 10**300, "pieces": [{"start": a, "end": b, "value": 1.0}
+                                        for a, b in zip(ends, ends[1:])]}
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "maximal", "--phi", str(path))
+        assert time.perf_counter() - start < 0.4
+        assert code == 2
+        assert err.startswith("domain error: no leaf grid")
+
     def test_domain_error_phi_finer_than_inferable(self, capsys, tmp_path):
         cut = {"num": 1, "den_pow": 30}
         doc = {"m": 2, "pieces": [
@@ -525,6 +539,50 @@ class TestSearchDomain:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        elif code == 2:
+            assert out.getvalue() == ""
+            assert re.fullmatch(_CONSTRAINT, err.getvalue()), err.getvalue()
+        else:
+            assert err.getvalue().startswith("convergence failure: ")
+
+
+@pytest.fixture(scope="module")
+def small_phi(tmp_path_factory):
+    """A fixed --phi file: leaves 1, 3, 2, 2 at m = 2, whose root A-set holds two
+    distinct positive values, so gphi solves for its support measure."""
+    path, _, _ = write_phi(tmp_path_factory.mktemp("phi"), [1, 3, 2, 2])
+    return str(path)
+
+
+@st.composite
+def phi_runs(draw):
+    """argv of gphi (--q --L) or residual (--q --f --h --L), without --phi: q over the
+    CLI range; f, h, L log-uniform over 10^[-300, 300], half on the edges h = f^q and
+    L = f; gphi's L also on the averages of small_phi (1, 2, 3) and the range ends."""
+    command = draw(st.sampled_from(("gphi", "residual")))
+    q = draw(st.floats(Q_MIN, Q_MAX))
+    f, h, L = (10.0 ** draw(st.floats(-300.0, 300.0)) for _ in range(3))
+    h = f**q if draw(st.booleans()) else h
+    L = f if draw(st.booleans()) else L
+    if command == "gphi":
+        L = draw(st.sampled_from((L, 1.0, 2.0, 3.0, 1e-300, 1e300)))
+        return ["gphi", "--q", repr(q), "--L", repr(L)]
+    return ["residual", "--q", repr(q), "--f", repr(f), "--h", repr(h), "--L", repr(L)]
+
+
+class TestPhiCommandDomain:
+    """gphi and residual on a fixed --phi over the CLI's numeric range: finite JSON,
+    exit 2 naming the violated constraint, or exit 3; never a traceback."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(argv=phi_runs())
+    def test_exit_0_2_or_3_and_never_a_traceback(self, small_phi, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--phi", small_phi])
         assert code in (0, 2, 3), err.getvalue()
         if code == 0:
             json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -863,6 +863,46 @@ class TestTreeOncePerSpec:
             assert got == want
 
 
+class TestFractionsBuiltOnce:
+    def test_exact_item_fraction_count(self, monkeypatch):
+        """The bench exact item's five calls on one depth-6 function build at most 220
+        Fractions (487 when every leaf-grid point and leaf value got its own)."""
+        spec = TreeSpec(2, 6)
+        phi = random_step_function(random.Random(1), spec, exact=True)
+
+        def item(f):
+            linearize(f, spec)
+            maximal_function(f, spec)
+            s_phi_by_criterion(f, spec)
+            g, _ = g_phi(f, 1.2, 0.5, spec)
+            ancestor_max_averages(g, spec)
+
+        item(fresh(phi))  # the shared depth-6 grid points are built here, uncounted
+        unevaluated = fresh(phi)
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        item(unevaluated)
+        monkeypatch.undo()
+        assert 0 < len(made) <= 220
+
+    @pytest.mark.parametrize("depth", [6, 13])  # 2^13 leaves: past the shared grids
+    def test_breakpoints_are_leaf_grid_points(self, depth):
+        spec = TreeSpec(2, depth)
+        n = spec.n_leaves
+        vals = [float(i // 3 % 5) for i in range(n)]
+        starts = [i for i in range(n) if i == 0 or vals[i] != vals[i - 1]]
+        phi, again = (StepFunction.from_leaf_values(vals, spec) for _ in range(2))
+        assert phi.breakpoints == tuple(Fraction(i, n) for i in [*starts, n])
+        # on the shared grid one object stands for each point, call after call
+        assert (again.breakpoints[1] is phi.breakpoints[1]) == (depth <= 12)
+
+
 class TestGPhiASets:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.one_of(leaf_functions(FLOAT_VALUES), leaf_functions(EXACT_VALUES)),
