@@ -24,8 +24,8 @@ the A-sets, the excess set and the inequality gaps, which read S_phi from the
 tree, agree to the bit.
 The search's vectorized ``leaf_maximal`` runs the same float arithmetic in
 NumPy, so it gives maximal_function's float leaf values bit for bit as well:
-for m = 2^k it multiplies by 2^-k, which rounds as the divide by m does, and
-on wide levels it takes the running max by strided np.maximum calls.
+for m = 2^k it multiplies by 2^-k, which rounds as the divide by m does; its
+running max repeats the parents m times on narrow levels, strides on wide.
 
 Exact functions are evaluated on integers.  With D the lcm of the value
 denominators, every leaf value times the scale D m^N is an integer multiple
@@ -621,13 +621,13 @@ def excess_set(phi: StepFunction, L, spec: TreeSpec, q: float) -> ExcessSet:
     bar = L if scale is None else math.ceil(Fraction(L) * scale)
     chosen: list[TreeElement] = []
 
-    stack = [ROOT]
+    stack = [(0, 0)]  # (depth, index) pairs, depth first: elements only for the chosen
     while stack:
-        el = stack.pop()
-        if levels[el.depth][el.index] >= bar:
-            chosen.append(el)
-        elif el.depth < N:
-            stack.extend(reversed(el.children(m)))
+        d, i = stack.pop()
+        if levels[d][i] >= bar:
+            chosen.append(TreeElement(d, i))
+        elif d < N:
+            stack.extend((d + 1, c) for c in range(i * m + m - 1, i * m - 1, -1))
     chosen.sort()
 
     leaves: list[int] = []

@@ -14,18 +14,18 @@ gives the bits of dyadic.maximal_function; its running max takes one
 strided np.maximum per child on wide levels.  A closing tail parks
 below-floor cells at the flat level tau to lower the extremality defect.
 It takes only moves that keep max(M phi, L) bit for bit, checked exactly on
-those levels, so it never changes the objective; only restarts inside the
-selection band run it.
+those levels, so it never changes the objective, which the report reuses.
+It runs on Python floats, and only restarts in the selection band run it.
 
 Restarts are independent, each seeded from (seed, restart index), so reports
 are reproducible for a fixed seed.  Groups of them are scored in lockstep,
 one leaf_maximal call per round, each on its own trajectory bit for bit.
 Each greedy loop scores its proposals in speculative windows; proposal p
 reads row p of its restart's random words, so no trajectory depends on the
-window.  Proposals read the values as Python floats, and a window's rows
-are one broadcast of the values and one scatter of the moved cells.  Python
-float sums go through dyadic._sum_in_order, in index order, not through
-sum(), which compensates from Python 3.12 on.
+window.  Proposals read the values as Python floats and write their moves
+in place into the window's rows, which start as copies of the values.
+Python float sums go through dyadic._sum_in_order, in index order, not
+through sum(), which compensates from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -62,20 +62,19 @@ def _levels(v, m: int, depth: int) -> list:
     levels = [v]
     scale, by = (np.multiply, 1.0 / m) if not m & (m - 1) else (np.divide, m)
     for d in range(depth):
-        below = levels[0]
+        below = levels[-1]
         avg = below[..., ::m] + (below[..., 1::m] if d else 0.0)
         for j in range(2 if d else 1, m):
             avg += below[..., j::m]
-        scale(avg, by, out=avg)
-        levels.insert(0, avg)
-    return levels
+        levels.append(scale(avg, by, out=avg))
+    return levels[::-1]
 
 
 # parents per level (batch rows x width) from which leaf_maximal's strided
-# np.maximum calls beat one broadcast: timed per level on a 2-vCPU x86 they
-# lead from about 600 at m = 2 (1150 at m = 3, 3400 at m = 4); whole m = 2
-# calls, depths 8-12 and 1-144 rows, vary by under 3% from 256 to 2048
-_STRIDED_FROM = 512
+# np.maximum calls beat one on the repeated parents: per level about 1500-2000
+# at m = 2 and 3, 8000 at m = 4 (2-vCPU x86); whole calls at 1-144 rows and
+# 2^8-2^12 leaves vary by about 3% from 1024 to 4096
+_STRIDED_FROM = 2048
 
 
 def leaf_maximal(values, m: int, depth: int) -> np.ndarray:
@@ -86,7 +85,7 @@ def leaf_maximal(values, m: int, depth: int) -> np.ndarray:
     float leaf values of dyadic.maximal_function bit for bit.  Each row of a
     batch is reduced exactly as it would be alone, so batching never
     changes a bit.  The running max goes down the levels, by one strided
-    np.maximum per child on wide levels and one broadcast on narrow ones.
+    np.maximum per child on wide levels, one on repeated parents on narrow.
     """
     v = np.asarray(values, dtype=float)
     n = m**depth
@@ -100,8 +99,7 @@ def leaf_maximal(values, m: int, depth: int) -> np.ndarray:
     run = levels[0]
     for avg in levels[1:]:
         if run.size < _STRIDED_FROM:
-            kids = avg.reshape(run.shape + (m,))
-            np.maximum(run[..., None], kids, out=kids)
+            np.maximum(run.repeat(m, axis=-1), avg, out=avg)
         else:
             for j in range(m):
                 np.maximum(run, avg[..., j::m], out=avg[..., j::m])
@@ -258,10 +256,12 @@ class SearchReport:
 
 
 def _finish_report(vals, params, spec, iterations, seed, restarts,
-                   best_restart, top=None) -> SearchReport:
-    # top: the best greedy (objective, restart), else the report's own
-    phi = StepFunction.from_leaf_values([float(x) for x in vals], spec)
-    obj = float(leaf_objective(vals, params.L, params.q, spec.m, spec.depth))
+                   best_restart, top=None, obj=None) -> SearchReport:
+    # top: the best greedy (objective, restart), else the report's own;
+    # obj: the objective of vals, if known
+    phi = StepFunction.from_leaf_values(vals.tolist(), spec)
+    if obj is None:
+        obj = float(leaf_objective(vals, params.L, params.q, spec.m, spec.depth))
     top_objective, top_restart = top or (obj, best_restart)
     bound = params.value
     res = eigen_residual(phi, params, spec)
@@ -445,27 +445,26 @@ def _three_cell_targets(vi, vj, vk, t, q):
 
 def _moved_averages(levels, cells, new, L: float, m: int):
     """(level, index, value) for each entry of levels (_levels of the leaf
-    array) that setting leaves cells to new rewrites, or None unless every
-    moved cell and every ancestor of one is below L before and after: each
-    ancestor recomputed from its children in _levels' order.  Passing keeps
-    max(M phi, L) and its < L mask bit for bit, since every other average
-    is unchanged and no running max at or above L comes from an entry below
-    L.  On cells below the floor the test is exact: a new value or average
-    at or above L lifts the moved cell beneath it to the floor."""
+    array, as lists) that setting leaves cells to new rewrites, or None
+    unless every moved cell and every ancestor of one is below L before and
+    after: each ancestor recomputed from its children in _levels' order.
+    Passing keeps max(M phi, L) and its < L mask bit for bit, since every
+    other average is unchanged and no running max at or above L comes from
+    an entry below L.  On cells below the floor the test is exact: a new
+    value or average at or above L lifts the moved cell beneath it onto the floor."""
     changes, row = [], dict(zip(cells, new))
     for d in range(len(levels) - 1, -1, -1):
-        level = levels[d]
+        level, parents = levels[d], {}
         for c, t in row.items():
-            if not (level.item(c) < L and t < L):
+            if not (level[c] < L and t < L):
                 return None
             changes.append((level, c, t))
-        if d:
-            parents = {c // m: 0.0 for c in row}
-            for p in parents:
-                for c in range(p * m, (p + 1) * m):
-                    parents[p] += row[c] if c in row else level.item(c)
-                parents[p] /= m
-            row = parents
+            if d and (p := c // m) not in parents:
+                total = 0.0
+                for k in range(p * m, (p + 1) * m):
+                    total += row[k] if k in row else level[k]
+                parents[p] = total / m
+        row = parents
     return changes
 
 
@@ -481,41 +480,41 @@ def _consolidate_tail(vals, params, spec):
     cells.  Only moves _moved_averages passes are taken: they keep
     max(M phi, L) and its < L mask bit for bit, so the objective never
     changes and the defect changes only in the three moved cells.  The
-    tail keeps the levels of vals and writes back the few entries each
-    taken move rewrites.  Each cell takes the (pair, orientation) that
-    lowers the defect most, if any does.  Returns (objective, defect, vals).
+    tail keeps the levels of vals as Python floats, writes the entries each
+    taken move rewrites and copies the leaf row back into vals.  Each cell
+    takes the (pair, orientation) that lowers the defect most, if any does.
+    Returns (objective, defect, vals).
     """
     m, depth, n = spec.m, spec.depth, spec.n_leaves
     q, L, root, tau = params.q, params.L, params.eigenvalue_root, params.tau
-    obj, mx = _objective(vals, L, q, m, depth)
-    levels = _levels(vals, m, depth)
-    slack = np.flatnonzero(mx < L)
 
     def term(v):
         # a below-floor cell's share of the defect, times n
         return abs(L - root * v) ** q
 
+    obj, mx = _objective(vals, L, q, m, depth)
+    levels = [level.tolist() for level in _levels(vals, m, depth)]
+    leaf, slack, at_tau = levels[-1], np.flatnonzero(mx < L).tolist(), term(tau)
     # taken moves keep the < L mask, so every sweep has the same slack
-    for _ in range(2 if slack.size >= 3 else 0):
-        order = slack[np.argsort(-vals[slack], kind="stable")].tolist()
+    for _ in range(2 if len(slack) >= 3 else 0):
+        order = sorted(slack, key=leaf.__getitem__, reverse=True)
         # reservoir pairs: removing mass wants two heavy cells, adding mass
         # wants a lopsided pair to stay inside the solvability band
         # s1^q <= s2 <= 2^(1-q) s1^q
         pairs = ((order[0], order[1]), (order[0], order[-1]), (order[-2], order[-1]))
         changed = False
-        for i in slack.tolist():
-            if vals[i] == tau:
+        for i in slack:
+            if (vi := leaf[i]) == tau:
                 continue
-            best, move = 0.0, None
+            best, move, own = 0.0, None, term(vi)
             for r1, r2 in pairs:
                 if i == r1 or i == r2:
                     continue
-                sol = _three_cell_targets(vals.item(i), vals.item(r1), vals.item(r2), tau, q)
+                sol = _three_cell_targets(vi, leaf[r1], leaf[r2], tau, q)
                 if sol is None:
                     continue
                 a, b = sol
-                gain = (term(vals.item(i)) + term(vals.item(r1)) + term(vals.item(r2))
-                        - term(tau) - term(a) - term(b))
+                gain = own + term(leaf[r1]) + term(leaf[r2]) - at_tau - term(a) - term(b)
                 if gain <= best:
                     continue
                 # both orientations change the defect alike: take the first passed
@@ -525,11 +524,12 @@ def _consolidate_tail(vals, params, spec):
                         best, move = gain, moved
                         break
             if move is not None:
-                for level, c, t in move:  # levels[depth] is vals itself
+                for level, c, t in move:
                     level[c] = t
                 changed = True
         if not changed:
             break
+    vals[:] = leaf
     return float(obj), float((np.abs(np.maximum(mx, L) - root * vals) ** q).sum() / n), vals
 
 
@@ -592,13 +592,13 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
 
     The seed shapes draw from rng itself; after them proposal p decodes row
     p of the chain's random rows (_rows), read in place in the word list,
-    against fv, the values as Python floats, rebuilt on each accept.
-    Proposals are scored speculatively, about _WINDOW_ROWS candidate rows
-    per window, and visited in order; the first accept drops the rest of
-    its window, and the next window starts at the row after it, rows drawn
-    past it kept.  A window stages its moves as (flat index, value) writes
-    and block sorts; its batch is one broadcast of vals, one scatter of the
-    writes, then the sorts.  Batch rows reduce as if alone and nothing a
+    against fv, the values as Python floats.  Proposals are scored
+    speculatively, about _WINDOW_ROWS candidate rows per window, and visited
+    in order; the first accept drops the rest of its window, and the next
+    window starts at the row after it, rows drawn past it kept.  A window
+    fills its candidate rows with vals once, and each proposal writes its
+    move into its own rows; an accept copies its row into vals and its
+    moved cells into fv.  Batch rows reduce as if alone and nothing a
     proposal reads changes before an accept, so the trajectory is that of
     scoring each proposal alone, whatever the window.
     """
@@ -629,14 +629,15 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
 
     objs, mxs = yield vals[None]
     cur, cur_mx = float(objs[0]), mxs[0].copy()
-    fv = vals.tolist()  # vals as Python floats; rebuilt after an accept
+    fv = vals.tolist()  # vals as Python floats
     slack = None  # cells of cur_mx at or below the floor; rebuilt after an accept
     tau = params.tau
 
     def propose(at, row):
-        """Stage the move the row of words at words[at] asks for from cand
-        row `row` on; return the rows it takes: 2 for a three-cell move (both
-        orientations of (a, b)), 1 for a swap or a block sort, 0 for none."""
+        """Write the move the row of words at words[at] asks for into cand
+        from row `row` on; return its cells and the rows it takes: 2 for a
+        three-cell move (both orientations of (a, b)), 1 for a swap or a
+        block sort, 0 for none."""
         nonlocal slack
         r = words[at] * _UNIT
         if n >= 3 and r < 0.55:
@@ -646,7 +647,7 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
                 slack = np.flatnonzero(cur_mx <= L).tolist()
             cells = _cells(words, at, n, slack)
             if cells is None:
-                return 0
+                return None, 0
             i, j, k = cells
             vi = fv[i]
             style = words[at + 5] * _UNIT
@@ -663,54 +664,51 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
                 t = vi * math.exp(z * 0.7) if vi > 0 else f * math.exp(z)
             sol = _three_cell_targets(vi, fv[j], fv[k], t, q)
             if sol is None:
-                return 0
+                return None, 0
             a, b = sol
             r0, r1 = row * n, (row + 1) * n
-            edit_at.extend((r0 + i, r0 + j, r0 + k, r1 + i, r1 + j, r1 + k))
-            edit_to.extend((t, a, b, t, b, a))
-            return 2
+            flat[r0 + i] = flat[r1 + i] = t
+            flat[r0 + j] = flat[r1 + k] = a
+            flat[r0 + k] = flat[r1 + j] = b
+            return cells, 2
         if r < 0.85:
             i, j = _distinct(words, at + 2, 2, n)
             if fv[i] == fv[j]:
-                return 0
-            edit_at.extend((row * n + i, row * n + j))
-            edit_to.extend((fv[j], fv[i]))
-            return 1
+                return None, 0
+            flat[row * n + i], flat[row * n + j] = fv[j], fv[i]
+            return (i, j), 1
         d = 1 + ((words[at + 1] * depth) >> 53)
         block = m ** (depth - d)
-        idx = (words[at + 2] * m**d) >> 53
-        sorts.append((row, slice(idx * block, (idx + 1) * block)))
-        return 1
+        lo = ((words[at + 2] * m**d) >> 53) * block
+        cand[row, lo:lo + block] = np.sort(vals[lo:lo + block])[::-1]
+        return range(lo, lo + block), 1
 
     cand = np.empty((_WINDOW_ROWS + 1, n))
     flat = cand.reshape(-1)
     words, p = [], 0  # words starts with row p, the next proposal's
     while p < budget:
         # staged: (proposals read up to and including it, its row, its last
-        # row), the last winning only if strictly better; the window's flat
-        # indices into cand and their values, and its (row, block) sorts
-        staged, edit_at, edit_to, sorts = [], [], [], []
+        # row, its moved cells), the last row winning only if strictly better
+        staged = []
         rows = read = 0
+        cand[:] = vals
         while rows < _WINDOW_ROWS and p + read < budget:
             if len(words) == _ROW * read:
                 words += _rows(rng, _REFILL)
-            took = propose(_ROW * read, rows)
+            moved, took = propose(_ROW * read, rows)
             read += 1
             if took:
-                staged.append((read, rows, rows + took - 1))
+                staged.append((read, rows, rows + took - 1, moved))
                 rows += took
-        cand[:rows] = vals
-        flat[edit_at] = edit_to
-        for row, block in sorts:
-            cand[row, block] = np.sort(vals[block])[::-1]
         objs, mxs = yield cand[:rows]
         objs = objs.tolist()
-        for upto, row, last in staged:
+        for upto, row, last, moved in staged:
             row = last if objs[last] > objs[row] else row
             if objs[row] > cur:
                 read = upto
                 vals[:] = cand[row]
-                fv = vals.tolist()
+                for c in moved:
+                    fv[c] = cand.item(row, c)
                 # a copy: a view would keep the whole batch alive
                 cur, cur_mx, slack = objs[row], mxs[row].copy(), None
                 break
@@ -786,13 +784,13 @@ def local_search(params: BellmanParams, spec: TreeSpec, seed: int = 0,
     top_ridx, (top, _) = max(kept, key=lambda row: row[1][0])
     floor = top * (1.0 - _SELECT_REL_TOL)
     # the tail returns its input's objective, so only the band needs it
-    best_ridx, (_, _, best_vals) = min(
+    best_ridx, (best_obj, _, best_vals) = min(
         ((ridx, _consolidate_tail(vals, params, spec))
          for ridx, (obj, vals) in kept if obj >= floor),
         key=lambda row: (row[1][1], row[0]),
     )
     return _finish_report(best_vals, params, spec, budget * len(kept), seed,
-                          len(starts), best_ridx, top=(top, top_ridx))
+                          len(starts), best_ridx, top=(top, top_ridx), obj=best_obj)
 
 
 # -- exhaustive oracle at toy sizes -------------------------------------

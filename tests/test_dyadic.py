@@ -342,6 +342,28 @@ class TestLinearize:
         assert lin.star[TreeElement(1, 0)] == ROOT
 
 
+@st.composite
+def excess_cases(draw):
+    """A float or exact function at m = 2 or 3 and an L below every average
+    of it, among its averages or above every one."""
+    m, depth = draw(st.sampled_from(((2, 2), (2, 3), (2, 5), (3, 2), (3, 3))))
+    spec = TreeSpec(m, depth)
+    values = st.fractions(0, 50, max_denominator=12) if draw(st.booleans()) else \
+        st.floats(0.0, 50.0)
+    vals = draw(st.lists(values, min_size=spec.n_leaves, max_size=spec.n_leaves))
+    phi = StepFunction.from_leaf_values(vals, spec)
+    low, high = min(vals), max(vals)
+    where = draw(st.sampled_from(("below", "inside", "above")))
+    if where == "below":
+        L = low / 2
+    elif where == "above":
+        L = high + 1
+    else:
+        L = low + (high - low) * draw(st.sampled_from((Fraction(1, 3), Fraction(1, 2), 1)))
+        L = L if phi.is_exact else float(L)
+    return phi, L, spec
+
+
 class TestExcessSet:
     def test_hand_example(self):
         # 3 on [0, 1/4): at L = 3/2 the half [0, 1/2) is the maximal element
@@ -405,6 +427,37 @@ class TestExcessSet:
             L = float(phi.integral()) * float(rng.uniform(1.0, 2.0))
             exc = excess_set(phi, L, spec, q=0.5)
             assert float(exc.mass) >= float(exc.measure) * L - 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(excess_cases())
+    def test_pair_walk_matches_element_walk(self, case):
+        # the walk over (depth, index) pairs chooses what a depth-first walk
+        # over TreeElements chose, and builds an element only per choice
+        phi, L, spec = case
+        m, N = spec.m, spec.depth
+        levels = tree_averages(phi, spec)
+        chosen, stack = [], [ROOT]
+        while stack:
+            el = stack.pop()
+            if levels[el.depth][el.index] >= L:
+                chosen.append(el)
+            elif el.depth < N:
+                stack.extend(reversed(el.children(m)))
+        chosen.sort()
+        leaves = [i for el in chosen for i in el.leaf_range(spec)]
+        built = []
+        check = TreeElement.__post_init__
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(TreeElement, "__post_init__", lambda el: built.append(check(el)))
+            exc = excess_set(phi, L, spec, 0.5)
+        assert len(built) <= len(chosen)
+        assert exc.elements == tuple(chosen) and exc.leaves == tuple(leaves)
+        assert exc.measure == Fraction(len(leaves), spec.n_leaves)
+        values = phi.leaf_values(spec)
+        if phi.is_exact:
+            assert exc.mass == sum((values[i] for i in leaves), Fraction(0)) / spec.n_leaves
+        else:
+            assert exc.mass == pytest.approx(sum(values[i] for i in leaves) / spec.n_leaves)
 
 
 class TestClassicalInequalities:

@@ -60,6 +60,11 @@ def same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
+def float_levels(vals, m, depth):
+    """_levels of vals as the consolidation tail keeps them: Python floats."""
+    return [level.tolist() for level in _levels(vals, m, depth)]
+
+
 def compensated_sum(iterable, /, start=0):
     """sum() of ints or of floats as Python 3.12 and later compute it: exact
     on ints, and from the first float on with Neumaier's compensation."""
@@ -128,8 +133,8 @@ class TestLeafMaximal:
         rng = random.Random(11)
         palette = (0.0, -0.0, 5e-324, 1e-300)
         # the last three batches have wide levels: their running max takes
-        # the strided path there and the broadcast above, at m = 2, 3 and 4
-        wide = ((2, 10), (3, 5), (4, 4))
+        # the strided path there and the repeated parents above, at m = 2, 3 and 4
+        wide = ((2, 10), (3, 6), (4, 5))
         assert all(10 * m ** (depth - 1) >= search._STRIDED_FROM for m, depth in wide)
         for m, depth in ((2, 0), (2, 1), (2, 4), (2, 8), (3, 1), (3, 3), (4, 2), (4, 3), *wide):
             spec = TreeSpec(m, depth)
@@ -578,6 +583,15 @@ class TestLocalSearch:
         rep = local_search(PARAMS, TreeSpec(2, 8), seed=seed, budget=300, restarts=2)
         assert (rep.objective.hex(), rep.residual.hex()) == self.PINNED[seed]
 
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_reported_objective_is_that_of_best_phi(self, seed):
+        # the report takes the objective the tail returned, not a fresh
+        # score: it must be the objective of the function it reports
+        spec = TreeSpec(2, 8)
+        rep = local_search(PARAMS, spec, seed=seed, budget=300, restarts=2)
+        again = leaf_objective(leaf_array(rep.best_phi, spec), PARAMS.L, PARAMS.q, 2, 8)
+        assert rep.objective.hex() == float(again).hex()
+
     # (m, depth, budget, restarts) -> float.hex of objective and residual,
     # best_restart, iterations and the SHA-256 of the winning leaf array,
     # all at seed 0.  Budgets 1, 7, 8, 9 straddle the first window of
@@ -822,7 +836,7 @@ class TestFloorCertificate:
         moved_obj, moved_mx = _objective(moved, L, q, m, depth)
         kept = (same_bits(np.maximum(moved_mx, L), np.maximum(mx, L))
                 and np.array_equal(moved_mx < L, mx < L))
-        levels = _levels(vals.copy(), m, depth)
+        levels = float_levels(vals, m, depth)
         changes = _moved_averages(levels, cells, new, L, m)
         assert (changes is not None) == kept
         if changes is None:
@@ -841,7 +855,7 @@ class TestFloorCertificate:
         obj, mx = _objective(vals, L, q, 2, 3)
         for cell0, kept in ((0.9, False), (0.85, True)):
             cells, new = (0, 2, 4), (cell0, 0.5, 0.5)
-            changes = _moved_averages(_levels(vals, 2, 3), cells, new, L, 2)
+            changes = _moved_averages(float_levels(vals, 2, 3), cells, new, L, 2)
             assert (changes is not None) is kept
             moved = vals.copy()
             moved[list(cells)] = new
@@ -856,10 +870,10 @@ class TestFloorCertificate:
         L, q = 1.2, 0.5
         vals = np.array([0.5, 0.5, 0.5, 0.5, 1.5, 0.0, 0.5, 0.5])
         cells, new = (0, 4, 6), (0.6, 1.0, 0.9)
-        assert _moved_averages(_levels(vals, 2, 3), cells, new, L, 2) is None
+        assert _moved_averages(float_levels(vals, 2, 3), cells, new, L, 2) is None
         below = vals.copy()
         below[4] = 1.1
-        assert _moved_averages(_levels(below, 2, 3), cells, new, L, 2) is not None
+        assert _moved_averages(float_levels(below, 2, 3), cells, new, L, 2) is not None
         moved = vals.copy()
         moved[list(cells)] = new
         assert _objective(moved, L, q, 2, 3)[0] < _objective(vals, L, q, 2, 3)[0]
@@ -867,8 +881,9 @@ class TestFloorCertificate:
     def test_tail_takes_only_certified_moves(self, monkeypatch):
         # a passed move keeps max(M phi, L) bit for bit, so the tail needs
         # M phi once, returns its input's objective and totals the defect at
-        # the end from the floor it started with; the levels it keeps are
-        # those of its array after every move it takes.  local_search runs
+        # the end from the floor it started with; the levels it keeps, as
+        # Python floats, are those of its array after every move it takes,
+        # and the array it returns is their leaf row.  local_search runs
         # it only on restarts inside the selection band, and running it on
         # every restart gives the same report
         cases = ((BellmanParams(q=0.3, f=1.0, h=0.8, L=1.2), TreeSpec(2, 7)),
@@ -884,7 +899,7 @@ class TestFloorCertificate:
 
         def fresh(levels, m):
             return all(same_bits(got, want) for got, want in
-                       zip(levels, _levels(levels[-1].copy(), m, len(levels) - 1)))
+                       zip(levels, _levels(np.array(levels[-1]), m, len(levels) - 1)))
 
         monkeypatch.setattr(search, "leaf_maximal", counted)
         skipped = 0
@@ -912,7 +927,7 @@ class TestFloorCertificate:
                 obj, defect, out = tail(vals, params, spec)
                 assert calls == [(n,)]
                 assert not np.array_equal(out, start)
-                assert seen[-1][-1] is out and fresh(seen[-1], m)
+                assert same_bits(seen[-1][-1], out) and fresh(seen[-1], m)
                 assert obj.hex() == want.hex()
                 after = np.maximum(leaf_maximal(out, m, depth), L)
                 assert np.array_equal(after, floor)
