@@ -44,7 +44,7 @@ import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from numbers import Integral
 
 from .errors import DomainError, NotTGoodError
@@ -248,9 +248,8 @@ class StepFunction:
         n = spec.n_leaves
         starts = _run_starts(vals)
         firsts = [vals[i] for i in starts]
-        starts.append(n)  # past the shared grids, no per-point call through _grid's lambda
-        bps = map(_grid(n), starts) if n <= _SHARED_GRID else [Fraction(i, n) for i in starts]
-        return cls._trusted(bps, firsts if scale is None else _fractions(firsts, scale))
+        return cls._trusted(map(_grid(n), starts + [n]),
+                            firsts if scale is None else _fractions(firsts, scale))
 
     # -- basic structure ------------------------------------------------
 
@@ -298,12 +297,7 @@ class StepFunction:
 
     def integral(self):
         """Integral over [0, 1); exact when the values are Fractions."""
-        den = math.lcm(*(b.denominator for b in self.breakpoints))
-        ends = [b.numerator * (den // b.denominator) for b in self.breakpoints]
-        total = 0  # a float v times (b - a) / den rounds once, as v * Fraction(b - a, den) did
-        for v, a, b in zip(self.values, ends, ends[1:]):
-            total += v * ((b - a) / den) if isinstance(v, float) else v * Fraction(b - a, den)
-        return total
+        return self.integral_over(0, 1)
 
     def q_integral(self, q: float) -> float:
         """Integral of phi^q; float (fractional powers leave the rationals)."""
@@ -322,8 +316,9 @@ class StepFunction:
         return out
 
     def integral_over(self, a, b):
-        """Integral over [a, b) within [0, 1]; exact for Fraction values."""
-        return sum(v * length for v, length in self._overlaps(a, b))
+        """Integral over [a, b) within [0, 1]; exact for Fraction values.  The
+        products add in order from 0, not by 3.12's compensating sum()."""
+        return reduce(operator.add, (v * length for v, length in self._overlaps(a, b)), 0)
 
     def q_integral_over(self, a, b, q: float) -> float:
         return _sum_in_order(float(v) ** q * float(length) for v, length in self._overlaps(a, b))

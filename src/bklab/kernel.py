@@ -21,12 +21,12 @@ intermediate quantity bounded even for q near 0 (y stays in [1, z/(1-q) + 1]
 while z^(1/q) itself may overflow).
 
 `_bracket` is the one general bisection.  omega_q, on which every Bellman
-value and every r_k point rests, walks `_bracket`'s midpoints with the residual
-inline, evaluating it only where a certified band around a Newton estimate of
-the root leaves its float sign open (the residual is convex).  So it returns
-`_bracket`'s bits; tests/test_kernel.py checks that against `_bracket` driven
-by the plain residual.  chi_lambda and rho_interval call `_bracket` with
-residuals whose constant factors are computed once.
+value and every r_k point rests, walks `_bracket`'s midpoints in one loop,
+evaluating the residual only inside a certified band around a Newton estimate
+of the root: outside it the residual's float sign is known (it is convex).  So
+it returns `_bracket`'s bits; tests/test_kernel.py checks that against
+`_bracket` driven by the plain residual.  chi_lambda and rho_interval call
+`_bracket` with residuals whose constant factors are computed once.
 """
 
 from __future__ import annotations
@@ -116,12 +116,12 @@ def omega_q(z: float, q: float) -> float:
     while fhi < 0.0:  # past z ~ 1e15, (1-q) hi can round below z; flo < 0 as z > 1
         hi = math.nextafter(hi, math.inf)
         fhi = a * hi + q * hi**e - z
+    yl, yh = 0.0, math.inf  # the certified band, once Newton finds one
     if flo == 0.0:
         hi = lo
     elif fhi == 0.0:
         lo = hi
     else:
-        n = 0  # leading steps the certified band decides
         tol = 2.0**-47 * (z + 1.0)
         # the root of f's quadratic model at y = 1 lies left of f's, as f''' < 0
         y = min(hi, 1.0 + math.sqrt(2.0 * q * (z - 1.0) / a)) if flo < -tol else 1.0
@@ -132,23 +132,19 @@ def omega_q(z: float, q: float) -> float:
             y -= step
             if abs(step) <= 2.0**-40 * y:
                 w = 2.0 * tol / d + 2.0 * abs(step)
-                yl, yh = max(1.0, y - w), y + w
-                if yl < yh and a * yl + q * yl**e - z < -tol and a * yh + q * yh**e - z > tol:
-                    for n in range(_BISECT_MAX_ITER):
-                        mid = 0.5 * (lo + hi)
-                        if mid <= yl:
-                            lo = mid
-                        elif mid >= yh:
-                            hi = mid
-                        else:
-                            break
-                    else:
-                        n = _BISECT_MAX_ITER
+                bl, bh = max(1.0, y - w), y + w
+                if bl < bh and a * bl + q * bl**e - z < -tol and a * bh + q * bh**e - z > tol:
+                    yl, yh = bl, bh
                 break
-        for _ in range(n, _BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if mid <= yl:
+            lo = mid
+        elif mid >= yh:
+            hi = mid
+        elif mid <= lo or mid >= hi:
+            break
+        else:
             fmid = a * mid + q * mid**e - z
             if fmid == 0.0:
                 lo = hi = mid

@@ -14,8 +14,9 @@ gives the bits of dyadic.maximal_function; its running max takes one
 strided np.maximum per child on wide levels.  A closing tail parks
 below-floor cells at the flat level tau to lower the extremality defect.
 It takes only moves that keep max(M phi, L) bit for bit, checked exactly on
-those levels, so it never changes the objective, which the report reuses.
-It runs on Python floats, and only restarts in the selection band run it.
+those levels, so it never changes the objective: it reads the M phi its
+greedy chain scored last, and the report that chain's objective.  It runs
+on Python floats, and only restarts in the selection band run it.
 
 Restarts are independent, each seeded from (seed, restart index), so reports
 are reproducible for a fixed seed.  Groups of them are scored in lockstep,
@@ -468,7 +469,7 @@ def _moved_averages(levels, cells, new, L: float, m: int):
     return changes
 
 
-def _consolidate_tail(vals, params, spec):
+def _consolidate_tail(vals, mx, params, spec):
     """Deterministic post-pass parking below-floor cells at the flat level.
 
     Off the excess set the objective ignores the cell values, so the greedy
@@ -483,7 +484,7 @@ def _consolidate_tail(vals, params, spec):
     tail keeps the levels of vals as Python floats, writes the entries each
     taken move rewrites and copies the leaf row back into vals.  Each cell
     takes the (pair, orientation) that lowers the defect most, if any does.
-    Returns (objective, defect, vals).
+    mx is leaf_maximal of vals, from its greedy chain.  Returns (defect, vals).
     """
     m, depth, n = spec.m, spec.depth, spec.n_leaves
     q, L, root, tau = params.q, params.L, params.eigenvalue_root, params.tau
@@ -492,7 +493,6 @@ def _consolidate_tail(vals, params, spec):
         # a below-floor cell's share of the defect, times n
         return abs(L - root * v) ** q
 
-    obj, mx = _objective(vals, L, q, m, depth)
     levels = [level.tolist() for level in _levels(vals, m, depth)]
     leaf, slack, at_tau = levels[-1], np.flatnonzero(mx < L).tolist(), term(tau)
     # taken moves keep the < L mask, so every sweep has the same slack
@@ -530,7 +530,7 @@ def _consolidate_tail(vals, params, spec):
         if not changed:
             break
     vals[:] = leaf
-    return float(obj), float((np.abs(np.maximum(mx, L) - root * vals) ** q).sum() / n), vals
+    return float((np.abs(np.maximum(mx, L) - root * vals) ** q).sum() / n), vals
 
 
 # 53-bit words per row, one row per greedy proposal, and rows per
@@ -586,9 +586,9 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
     """One greedy chain of budget proposals, as a generator.
 
     It yields each batch of leaf arrays to score, the start first, and is
-    sent _objective of that batch; it returns (objective, values), or None
-    if no start is feasible.  start, if given, is a raw leaf array used
-    instead of the built-in seed shapes (still moment-repaired first).
+    sent _objective of that batch; it returns (objective, values, M phi of
+    values), or None if no start is feasible.  start, if given, is a raw leaf
+    array used instead of the built-in seed shapes (still moment-repaired first).
 
     The seed shapes draw from rng itself; after them proposal p decodes row
     p of the chain's random rows (_rows), read in place in the word list,
@@ -714,7 +714,7 @@ def _run_restart(params, spec, ridx, seed, budget, start=None):
                 break
         del words[:_ROW * read]
         p += read
-    return cur, vals
+    return cur, vals, cur_mx
 
 
 def _lockstep(chains, L: float, q: float, m: int, depth: int) -> list:
@@ -747,10 +747,10 @@ def local_search(params: BellmanParams, spec: TreeSpec, seed: int = 0,
     """Multi-start greedy maximization of the truncated maximal objective.
 
     budget counts move proposals per restart.  extra_seeds, if given, is a
-    list of leaf-value arrays injected as additional restarts (used by the
-    convergence study to warm-start from a coarser depth).  Restarts run in
-    lockstep groups of up to _BATCH_VALUES leaf values; top_objective and
-    top_restart report the best greedy objective.
+    list of leaf-value arrays of length n_leaves injected as additional
+    restarts (used by the convergence study to warm-start from a coarser
+    depth).  Restarts run in lockstep groups of up to _BATCH_VALUES leaf
+    values; top_objective and top_restart report the best greedy objective.
 
     Near-extremality has two certificates: the objective's distance to the
     analytic bound and the eigen-style extremality defect.  Restarts whose
@@ -765,13 +765,15 @@ def local_search(params: BellmanParams, spec: TreeSpec, seed: int = 0,
         raise DomainError(f"restarts must be positive, got {restarts}")
     _require_feasible(params, spec.n_leaves)
     f, h, q = params.f, params.h, params.q
+    starts = [np.asarray(e, dtype=float) for e in (extra_seeds or [])]
+    if any(start.shape != (spec.n_leaves,) for start in starts):
+        raise DomainError(f"each extra seed needs {spec.n_leaves} leaf values")
 
     if h >= f**q * (1.0 - 1e-12):
         # Hoelder equality pins phi to the constant f
         vals = np.full(spec.n_leaves, float(f))
         return _finish_report(vals, params, spec, 0, seed, restarts, 0)
 
-    starts = [np.asarray(e, dtype=float) for e in (extra_seeds or [])]
     starts += [None] * restarts
     group = max(1, _BATCH_VALUES // ((_WINDOW_ROWS + 1) * spec.n_leaves))
     chains = [_run_restart(params, spec, ridx, seed, budget, start)
@@ -781,13 +783,13 @@ def local_search(params: BellmanParams, spec: TreeSpec, seed: int = 0,
     kept = [(ridx, out) for ridx, out in enumerate(done) if out is not None]
     if not kept:
         raise InfeasibleStartError(f"no restart found a feasible start at depth {spec.depth}")
-    top_ridx, (top, _) = max(kept, key=lambda row: row[1][0])
+    top_ridx, (top, _, _) = max(kept, key=lambda row: row[1][0])
     floor = top * (1.0 - _SELECT_REL_TOL)
-    # the tail returns its input's objective, so only the band needs it
-    best_ridx, (best_obj, _, best_vals) = min(
-        ((ridx, _consolidate_tail(vals, params, spec))
-         for ridx, (obj, vals) in kept if obj >= floor),
-        key=lambda row: (row[1][1], row[0]),
+    # the tail keeps its input's objective, so only the band needs it
+    best_ridx, best_obj, (_, best_vals) = min(
+        ((ridx, obj, _consolidate_tail(vals, mx, params, spec))
+         for ridx, (obj, vals, mx) in kept if obj >= floor),
+        key=lambda row: (row[2][0], row[0]),
     )
     return _finish_report(best_vals, params, spec, budget * len(kept), seed,
                           len(starts), best_ridx, top=(top, top_ridx), obj=best_obj)

@@ -760,6 +760,16 @@ class TestIntegralAndLeafValues:
         with pytest.raises(DomainError):
             StepFunction.from_leaf_values(vals, TreeSpec(2, 2))
 
+    def test_integrals_add_in_order(self, monkeypatch):
+        # from Python 3.12 on sum() compensates float sums, which would lift
+        # 1 + 3 * 2^-54 to 1 + 2^-52; every integral adds left to right
+        from test_search import compensated_sum
+
+        monkeypatch.setattr(dyadic, "sum", compensated_sum, raising=False)
+        phi = StepFunction([Fraction(i, 4) for i in range(5)], [4.0] + [2.0**-52] * 3)
+        for got in (phi.integral(), phi.integral_over(0, 1), phi.average_over(ROOT, 2)):
+            assert got.hex() == "0x1.0000000000000p+0"
+
     def test_integral_pinned(self):
         # recorded while integral() summed one Fraction difference per piece;
         # the breakpoints mix leaf-aligned and unrelated denominators

@@ -94,8 +94,8 @@ def sibling(name):
 
 
 def solo_greedy(params, spec, seed, budget, restarts, extra_seeds=()):
-    """(restart, objective, values) of every feasible _run_restart chain,
-    each scored alone, one _objective call per window."""
+    """(restart, objective, values, M phi) of every feasible _run_restart
+    chain, each scored alone, one _objective call per window."""
     m, depth, L, q = spec.m, spec.depth, params.L, params.q
     kept = []
     for ridx in range(restarts + len(extra_seeds)):
@@ -115,13 +115,14 @@ def solo_search(params, spec, seed, budget, restarts, extra_seeds=()):
     """local_search's report from chains scored alone, every restart's
     consolidation tail run, whether or not it is in the selection band."""
     kept = solo_greedy(params, spec, seed, budget, restarts, extra_seeds)
-    top_ridx, top, _ = max(kept, key=lambda row: row[1])
-    tails = [(ridx, obj, *search._consolidate_tail(vals, params, spec))
-             for ridx, obj, vals in kept]
-    assert all(tail.hex() == obj.hex() for _, obj, tail, _, _ in tails)
+    top_ridx, top, _, _ = max(kept, key=lambda row: row[1])
+    tails = [(ridx, obj, *search._consolidate_tail(vals, mx, params, spec))
+             for ridx, obj, vals, mx in kept]
     floor = top * (1.0 - search._SELECT_REL_TOL)
-    ridx, _, _, _, vals = min((row for row in tails if row[1] >= floor),
-                              key=lambda row: (row[3], row[0]))
+    # no obj= below: the report rescores the tail's values, which must give
+    # the objective local_search takes from the chain
+    ridx, _, _, vals = min((row for row in tails if row[1] >= floor),
+                           key=lambda row: (row[2], row[0]))
     return search._finish_report(vals, params, spec, budget * len(kept), seed,
                                  restarts + len(extra_seeds), ridx, top=(top, top_ridx))
 
@@ -736,8 +737,8 @@ class TestLocalSearch:
         greedy = solo_greedy(PARAMS, spec, 8, 400, 4)
         assert (rep.best_restart, rep.top_restart) == (3, 1)
         assert rep.top_objective > rep.objective
-        assert rep.top_objective == max(obj for _, obj, _ in greedy)
-        assert [obj for ridx, obj, _ in greedy if ridx == 1] == [rep.top_objective]
+        assert rep.top_objective == max(obj for _, obj, _, _ in greedy)
+        assert [obj for ridx, obj, _, _ in greedy if ridx == 1] == [rep.top_objective]
         code = main(["search", "--q", "0.5", "--f", "1", "--h", "0.8", "--L", "1.2",
                      "--N", "4", "--seed", "8", "--budget", "400", "--restarts", "4"])
         got = json.loads(capsys.readouterr().out)
@@ -777,6 +778,14 @@ class TestLocalSearch:
                             h=0.8006905011566328, L=1.7114562146842554e+194)
         with pytest.raises(DomainError, match=r"c\^\(1/q\) n f overflows a float"):
             local_search(big, TreeSpec(2, 2), budget=1, restarts=1)
+
+    def test_extra_seeds_of_the_wrong_length_are_refused(self):
+        # a seed one value too long once reached np.concatenate in _lockstep,
+        # and a constant seed of the wrong length was dropped as unrepairable
+        p = BellmanParams(0.5, 1, 0.8, 1.2)
+        for seed in ([1.0] * 8 + [2.0], np.ones(5)):
+            with pytest.raises(DomainError, match="each extra seed needs 8 leaf values"):
+                local_search(p, TreeSpec(2, 3), budget=10, restarts=2, extra_seeds=[seed])
 
     def test_underflowed_tau_starts_from_a_pair(self):
         # tau = L / c^(1/q) underflows to 0: kinds 0-3 keep one positive cell
@@ -879,13 +888,14 @@ class TestFloorCertificate:
         assert _objective(moved, L, q, 2, 3)[0] < _objective(vals, L, q, 2, 3)[0]
 
     def test_tail_takes_only_certified_moves(self, monkeypatch):
-        # a passed move keeps max(M phi, L) bit for bit, so the tail needs
-        # M phi once, returns its input's objective and totals the defect at
-        # the end from the floor it started with; the levels it keeps, as
-        # Python floats, are those of its array after every move it takes,
-        # and the array it returns is their leaf row.  local_search runs
-        # it only on restarts inside the selection band, and running it on
-        # every restart gives the same report
+        # a passed move keeps max(M phi, L) bit for bit, so the tail takes
+        # M phi from its greedy chain, calls leaf_maximal not at all, keeps
+        # the chain's objective and totals the defect at the end from the
+        # floor it started with; the levels it keeps, as Python floats, are
+        # those of its array after every move it takes, and the array it
+        # returns is their leaf row.  local_search runs it only on restarts
+        # inside the selection band, and running it on every restart gives
+        # the same report
         cases = ((BellmanParams(q=0.3, f=1.0, h=0.8, L=1.2), TreeSpec(2, 7)),
                  (PARAMS, TreeSpec(3, 5)))
         every_tail = [solo_search(params, spec, 0, 300, 2) for params, spec in cases]
@@ -917,15 +927,17 @@ class TestFloorCertificate:
                 seen.append(levels)
                 return moved_averages(levels, cells, new, L, m)
 
-            def checked_tail(vals, params, spec):
+            def checked_tail(vals, mx, params, spec):
                 start = vals.copy()
-                floor = np.maximum(leaf_maximal(start, m, depth), L)
+                assert same_bits(mx, leaf_maximal(start, m, depth))
+                floor = np.maximum(mx, L)
                 want = float(leaf_objective(start, L, q, m, depth))
                 calls.clear()
                 seen.clear()
-                tails.append(next(r for r, (_, v) in greedy.items() if v is vals))
-                obj, defect, out = tail(vals, params, spec)
-                assert calls == [(n,)]
+                tails.append(next(r for r, (_, v, _) in greedy.items() if v is vals))
+                obj = greedy[tails[-1]][0]  # the objective local_search reports
+                defect, out = tail(vals, mx, params, spec)
+                assert calls == []
                 assert not np.array_equal(out, start)
                 assert same_bits(seen[-1][-1], out) and fresh(seen[-1], m)
                 assert obj.hex() == want.hex()
@@ -933,14 +945,14 @@ class TestFloorCertificate:
                 assert np.array_equal(after, floor)
                 full = (np.abs(after - params.eigenvalue_root * out) ** q).sum() / n
                 assert defect.hex() == float(full).hex()
-                return obj, defect, out
+                return defect, out
 
             monkeypatch.setattr(search, "_run_restart", recorded)
             monkeypatch.setattr(search, "_moved_averages", checked_moves)
             monkeypatch.setattr(search, "_consolidate_tail", checked_tail)
             rep = local_search(params, spec, seed=0, budget=300, restarts=2)
-            top = max(obj for obj, _ in greedy.values())
-            band = [r for r, (obj, _) in sorted(greedy.items())
+            top = max(obj for obj, _, _ in greedy.values())
+            band = [r for r, (obj, _, _) in sorted(greedy.items())
                     if obj >= top * (1.0 - search._SELECT_REL_TOL)]
             assert len(greedy) == 2 and tails == band, spec
             assert render_json(rep.to_json_obj()) == render_json(want.to_json_obj())
